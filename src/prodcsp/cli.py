@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import checks, gen, reductions
 from .errors import ParseError, ProdCspError
@@ -272,7 +273,10 @@ def cmd_check(args, config: RunConfig) -> int:
 def _add_globals(parser: argparse.ArgumentParser, top: bool):
     """Global flags, accepted both before and after the subcommand."""
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--tol", type=float, default=d(1e-9), help="relative fit tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=d(1e-9),
+        help="accepted for compatibility and must be positive; every decider is exact and ignores it",
+    )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for all randomized paths")
     parser.add_argument("--max-n", type=int, default=d(24), help="exhaustive solver cap")
     parser.add_argument(
@@ -335,8 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between
+    calls, so in-process callers of main() reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)

@@ -11,8 +11,9 @@ classes of weighted Boolean constraints:
                (1,1,lambda,1) with 0 <= lambda < 1
 
 plus the two support predicates (affine support, implication-definable
-support) and the multilinear log2 expansion used by the full-support
-imopt test.
+support) and the multilinear log2 expansion, which is for display only.
+Every decider is exact: certificates hold rationals computed from the
+table's weights and rebuild it with no tolerance.
 
 Conventions for the degenerate corner cases:
 - the all-zero constraint of arity >= 1 belongs to ed/af/imopt/degenerate
@@ -28,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .construct import ConstructionScript
 from .errors import ArgumentError, DomainError
@@ -515,157 +514,173 @@ class LogExpansion:
 
 
 def log_expansion(table: ConstraintTable) -> LogExpansion:
-    """Finite-difference (Moebius) transform of log2 f on the full cube."""
+    """Finite-difference (Moebius) transform of log2 f on the full cube.
+
+    For display and the invariant suites only: no decider reads these floats.
+    """
     if not is_nonzero(table):
         raise DomainError("log expansion requires a strictly positive constraint")
     k = table.arity
-    values = np.array([frac_log2(w) for w in table.weights], dtype=float)
-    arr = values.reshape([2] * k) if k else values.reshape(())
-    for axis in range(k):
-        hi = [slice(None)] * k
-        lo = [slice(None)] * k
-        hi[axis], lo[axis] = 1, 0
-        arr[tuple(hi)] -= arr[tuple(lo)]
+    values = [frac_log2(w) for w in table.weights]
+    for v in range(1, k + 1):  # one axis per variable, x1 first
+        bit = 1 << (k - v)
+        for idx in range(1 << k):
+            if idx & bit:
+                values[idx] -= values[idx ^ bit]
     coeffs: dict[frozenset[int], float] = {}
-    flat = arr.reshape(-1)
     for idx in range(1 << k):
         S = frozenset(v for v in range(1, k + 1) if (idx >> (k - v)) & 1)
-        coeffs[S] = float(flat[idx])
+        coeffs[S] = values[idx]
     return LogExpansion(table.support(), coeffs)
 
 
-def _mobius_products(table: ConstraintTable, subset: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """Exact even/odd inclusion-exclusion products over a variable subset.
+@dataclass(frozen=True)
+class _ImpLattice:
+    """An implication-definable support as the up-sets of a poset.
 
-    The multilinear coefficient of prod_{v in subset} x_v in log2 f equals
-    log2(even/odd); its sign is decided exactly by comparing the two products.
+    The poset's elements are the classes of tied unpinned variables (equal
+    on every support point); class A lies below class B when x_A = 1 forces
+    x_B = 1. A support point is `base` with the bits of an up-set's classes
+    set, so it is determined by the classes whose bits it has.
+    """
+
+    base: int  # the support point with every unpinned variable at 0
+    classes: tuple[tuple[int, ...], ...]  # each sorted; lower classes first
+    masks: tuple[int, ...]  # index bits of each class's variables
+    ups: tuple[int, ...]  # index bits of each class and every class above it
+    incomparable: tuple[tuple[int, int], ...]  # class positions (a, b), a < b
+
+
+@lru_cache(maxsize=None)
+def _imp_lattice(arity: int, mask: int) -> _ImpLattice:
+    k = arity
+    pins = _pins_of(k, mask)
+    pinned = {v for v, _ in pins}
+    above: dict[int, set[int]] = {v: {v} for v in range(1, k + 1) if v not in pinned}
+    for r, s in _implication_pairs(k, mask):
+        if r in above and s in above:
+            above[r].add(s)
+    groups: dict[frozenset[int], list[int]] = {}
+    for v, up in above.items():
+        groups.setdefault(frozenset(up), []).append(v)
+    # A class strictly below another has strictly more variables above it.
+    ordered = sorted(groups.items(), key=lambda item: (-len(item[0]), item[1][0]))
+
+    def bits(variables) -> int:
+        return sum(1 << (k - v) for v in variables)
+
+    masks = tuple(bits(cls) for _, cls in ordered)
+    ups = tuple(bits(up) for up, _ in ordered)
+    incomparable = tuple(
+        (a, b)
+        for a, b in itertools.combinations(range(len(ordered)), 2)
+        if not (ups[a] & masks[b] or ups[b] & masks[a])
+    )
+    return _ImpLattice(
+        base=bits(v for v, c in pins if c),
+        classes=tuple(tuple(cls) for _, cls in ordered),
+        masks=masks,
+        ups=ups,
+        incomparable=incomparable,
+    )
+
+
+def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate]:
+    """The exact IM_opt test on an implication-definable support (Rota 1964).
+
+    On the support, log2 f is a function on the up-sets T of the class
+    poset, and the functions [X subset of T], one per antichain X, are a
+    basis. The coefficient of an antichain X is log2(even/odd), where even
+    (odd) multiplies f over the up-sets left when an even (odd) number of
+    X's classes is removed from the up-set X generates. f is in IM_opt
+    exactly when every antichain of >= 3 classes has even == odd and every
+    2-antichain has even >= odd; on the full support the classes are the
+    variables and this is the multilinear expansion's degree-2 test.
+
+    The 2-antichain products give the pair factors delta = even/odd and each
+    class's unary ratio rho; the >= 3 conditions then hold exactly when
+    f(T) = f(T - A) * rho_A * prod(delta_AB for B in T incomparable with A)
+    at every support point T, with A a minimal class of T. The points are
+    checked in increasing index, so each T - A is checked before T and the
+    test exits at the first point that fails. Every number is a ratio of
+    table weights, so the certificate rebuilds f exactly.
     """
     k = table.arity
-    even = odd = ONE
-    n = len(subset)
-    for tmask in range(1 << n):
-        idx = 0
-        for t in range(n):
-            if (tmask >> t) & 1:
-                idx |= 1 << (k - subset[t])
-        if (n - bin(tmask).count("1")) % 2 == 0:
-            even *= table.weights[idx]
-        else:
-            odd *= table.weights[idx]
-    return even, odd
+    w = table.weights
+    lat = _imp_lattice(k, mask)
+    base = lat.base
+    n = len(lat.classes)
+    rho = [w[base | up] / w[base | (up ^ m)] for up, m in zip(lat.ups, lat.masks)]
+    partners: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    deltas: list[tuple[int, int, Fraction]] = []
+    for a, b in lat.incomparable:
+        top = base | lat.ups[a] | lat.ups[b]
+        even = w[top] * w[top ^ lat.masks[a] ^ lat.masks[b]]
+        odd = w[top ^ lat.masks[a]] * w[top ^ lat.masks[b]]
+        if even < odd:
+            return None
+        if even != odd:
+            delta = even / odd
+            partners[a].append((lat.masks[b], delta))
+            partners[b].append((lat.masks[a], delta))
+            deltas.append((a, b, delta))
+    for idx in _support_points(k, mask):
+        if idx == base:
+            continue
+        # The first class present is minimal: lower classes come first.
+        a = next(a for a, m in enumerate(lat.masks) if idx & m)
+        expected = w[idx ^ lat.masks[a]] * rho[a]
+        for m, delta in partners[a]:
+            if idx & m:
+                expected *= delta
+        if w[idx] != expected:
+            return None
 
-
-def _imopt_full_support(table: ConstraintTable) -> Optional[ImOptCertificate]:
-    """Exact full-support test: the multilinear log expansion must have degree
-    at most 2 with every pairwise coefficient nonnegative."""
-    k = table.arity
-    for size in range(3, k + 1):
-        for subset in itertools.combinations(range(1, k + 1), size):
-            even, odd = _mobius_products(table, subset)
-            if even != odd:
-                return None
-    pair_ratio: dict[tuple[int, int], Fraction] = {}
-    for r in range(1, k + 1):
-        for s in range(r + 1, k + 1):
-            even, odd = _mobius_products(table, (r, s))
-            if even < odd:
-                return None
-            pair_ratio[(r, s)] = even / odd  # >= 1
+    pins = _pins_of(k, mask)
+    pinned = {v for v, _ in pins}
+    factors: list[tuple[Fraction, Fraction]] = [(ONE, ONE)] * k
+    for v, c in pins:
+        factors[v - 1] = (ZERO, ONE) if c else (ONE, ZERO)
+    hi = {cls[0]: rho[a] for a, cls in enumerate(lat.classes)}
     lambda_pairs = {
-        (r, s, ONE / ratio) for (r, s), ratio in pair_ratio.items() if ratio != 1
+        (r, s, ZERO)
+        for r, s in _implication_pairs(k, mask)
+        if r not in pinned and s not in pinned
     }
-    zero_index = 0
-    base = table.weights[zero_index]
-    factors = []
-    for v in range(1, k + 1):
-        ratio_v = table.weights[1 << (k - v)] / base
-        for s in range(v + 1, k + 1):
-            ratio_v *= pair_ratio[(v, s)]
-        factors.append((ONE, ratio_v))
-    factors[0] = (base * factors[0][0], base * factors[0][1])
+    for a, b, delta in deltas:
+        # delta^(x_r x_s) = delta^x_r * (1/delta)^(x_r (1 - x_s))
+        r, s = sorted((lat.classes[a][0], lat.classes[b][0]))
+        hi[r] *= delta
+        lambda_pairs.add((r, s, ONE / delta))
+    for rep, ratio in hi.items():
+        factors[rep - 1] = (ONE, ratio)
+    const = w[base]
+    u0, u1 = factors[0]
+    factors[0] = (const * u0, const * u1)
     return ImOptCertificate(tuple(factors), frozenset(lambda_pairs))
 
 
-def _imopt_lp(table: ConstraintTable, rel_tol: float) -> Optional[tuple[list[float], list[float], float]]:
-    """Feasibility of log2 f(x) = a0 + sum a_l x_l + sum c_rs x_r (1-x_s) on the
-    support, with every c_rs <= 0. Returns (a, c, a0) or None."""
-    from scipy.optimize import linprog
-
-    k = table.arity
-    pts = _support_points(k, table.support().mask)
-    pairs = [(r, s) for r in range(1, k + 1) for s in range(1, k + 1) if r != s]
-    nvar = 1 + k + len(pairs)
-    rows = []
-    rhs = []
-    for p in pts:
-        row = [0.0] * nvar
-        row[0] = 1.0
-        for v in range(1, k + 1):
-            row[v] = float(_bit(p, v, k))
-        for t, (r, s) in enumerate(pairs):
-            row[1 + k + t] = float(_bit(p, r, k) * (1 - _bit(p, s, k)))
-        rows.append(row)
-        rhs.append(frac_log2(table.weights[p]))
-    bounds = [(None, None)] * (1 + k) + [(None, 0.0)] * len(pairs)
-    res = linprog(
-        c=[0.0] * nvar,
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    x = res.x
-    residual = np.array(rows) @ x - np.array(rhs)
-    scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs else 1.0
-    if float(np.max(np.abs(residual), initial=0.0)) > rel_tol * scale:
-        return None
-    a0 = float(x[0])
-    a = [float(x[v]) for v in range(1, k + 1)]
-    c = {pairs[t]: float(x[1 + k + t]) for t in range(len(pairs))}
-    return a, c, a0
+def _imopt_lp(table: ConstraintTable, rel_tol: float = 1e-9) -> Optional[ImOptCertificate]:
+    """The exact decider under the name of the linear program it replaced:
+    non-None exactly when f is in IM_opt. rel_tol is ignored."""
+    return is_imopt(table)
 
 
 def is_imopt(table: ConstraintTable, rel_tol: float = 1e-9) -> Optional[ImOptCertificate]:
-    """Implication-definable support plus sign-constrained log-affine values.
-
-    Full-support constraints are decided in exact rational arithmetic; other
-    supports go through a small linear feasibility program in log2 space.
+    """Implication-definable support plus the exact antichain Moebius test
+    on its values (see `_imopt_exact`); every support, full or partial, is
+    decided in rational arithmetic. rel_tol is accepted for compatibility
+    and unused.
     """
     k = table.arity
     if k == 0:
         return ImOptCertificate((), frozenset()) if table.weights[0] == 1 else None
-    support = table.support()
-    if support.is_empty:
+    mask = table.support().mask
+    if mask == 0:
         return ImOptCertificate(_all_zero_factors(k), frozenset())
-    if not has_imp_support(table):
+    if _imp_rebuild(k, mask) != mask:
         return None
-    if support.is_full:
-        return _imopt_full_support(table)
-    solved = _imopt_lp(table, rel_tol)
-    if solved is None:
-        return None
-    a, c, a0 = solved
-    pins = dict(_pins_of(k, support.mask))
-    implications = _implication_pairs(k, support.mask)
-    factors = []
-    for v in range(1, k + 1):
-        hi = Fraction(2.0 ** a[v - 1])
-        u: tuple[Fraction, Fraction] = (ONE, hi)
-        if v in pins:
-            u = (ZERO, hi) if pins[v] == 1 else (ONE, ZERO)
-        factors.append(u)
-    base = Fraction(2.0 ** a0)
-    factors[0] = (base * factors[0][0], base * factors[0][1])
-    lambda_pairs: set[tuple[int, int, Fraction]] = set()
-    for (r, s) in implications:
-        if r not in pins and s not in pins:
-            lambda_pairs.add((r, s, ZERO))
-    for (r, s), value in c.items():
-        if value < -1e-12 and (r, s, ZERO) not in lambda_pairs:
-            lambda_pairs.add((r, s, Fraction(2.0 ** value)))
-    return ImOptCertificate(tuple(factors), frozenset(lambda_pairs))
+    return _imopt_exact(table, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,29 @@ def frac_to_decimal_str(value: Fraction, digits: int = 12) -> str:
     return str(d)
 
 
+def _int_to_str(n: int) -> str:
+    """Decimal text of an integer of any length.
+
+    str() is the fast path; past the interpreter's int-to-str digit limit the
+    integer is split at a power of ten into halves that are converted in turn,
+    so no process-wide setting changes.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10**half)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(half)
+
+
 def format_fraction(value: Fraction) -> str:
     """Canonical p/q text (plain integer when the denominator is 1)."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_str(value.numerator)
+    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
 def parse_weight(token: str) -> Fraction:

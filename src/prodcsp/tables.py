@@ -22,7 +22,7 @@ WeightLike = Fraction | int | str | float
 
 
 def _as_weight(w: WeightLike) -> Fraction:
-    value = Fraction(w)
+    value = w if type(w) is Fraction else Fraction(w)
     if value < 0:
         raise ArgumentError(f"weights must be nonnegative, got {value}")
     return value
@@ -243,7 +243,7 @@ class ConstraintTable:
 
 def make_table(weights: Iterable[WeightLike], name: str | None = None) -> ConstraintTable:
     """Build a table from 2^k weights, inferring the arity."""
-    ws = tuple(Fraction(w) for w in weights)
+    ws = tuple(weights)  # ConstraintTable converts and checks each weight
     n = len(ws)
     arity = n.bit_length() - 1
     if n != 1 << arity:

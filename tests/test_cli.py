@@ -234,3 +234,47 @@ class TestSubprocessPipeline:
 
         direct = graph_brute_force(parse_graph(graph.read_text())).optimum
         assert Fraction(values["optimum"]) == direct
+
+
+class TestInProcessRepeats:
+    """main() reuses one parser; nothing carries over between calls."""
+
+    def test_machine_flag_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text(CONSTRAINTS)
+        code, out, _ = run(capsys, "--machine", "classify", str(path))
+        assert code == 0 and out.startswith("constraint.HALF.classes: ")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0 and "constraint.HALF.classes" not in out
+        from prodcsp import classify_set, explain
+        from prodcsp.formats import parse_constraints
+
+        narrative = explain(classify_set(list(parse_constraints(CONSTRAINTS).values())))
+        assert out == narrative + "\n"
+
+    def test_method_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text(INSTANCE)
+        code, out, _ = run(capsys, "solve", str(path), "--method", "brute")
+        assert code == 0 and "method brute_force" in out
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0 and "method parity_components" in out
+
+
+class TestLongOptimum:
+    """Optima past the interpreter's 4300-digit int-to-str limit print in full."""
+
+    def test_solve_and_eval_print_every_digit(self, tmp_path, capsys):
+        big = 10**100
+        path = tmp_path / "i.txt"
+        path.write_text(
+            f"vars 50\nconstraint U 1\n1 {big}\n"
+            + "".join(f"apply U {v}\n" for v in range(1, 51))
+        )
+        want = "1" + "0" * 5000
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0 and f"optimum {want} " in out
+        code, out, _ = run(capsys, "--machine", "solve", str(path))
+        assert code == 0 and f"optimum: {want}\n" in out
+        code, out, _ = run(capsys, "eval", str(path), "--assign", "1" * 50)
+        assert code == 0 and f"measure {want} " in out

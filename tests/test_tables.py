@@ -225,3 +225,18 @@ def test_maximize_out_enumerates(f, data):
         assert g.weights[idx] == max(
             f.weights[(idx << d) | rest] for rest in range(1 << d)
         )
+
+
+def test_weights_are_stored_as_fractions_whatever_their_input_type():
+    shared = Fraction(2, 3)
+    table = make_table([1, "3/4", 0.5, shared])
+    assert all(type(w) is Fraction for w in table.weights)
+    assert table.weights == (1, Fraction(3, 4), Fraction(1, 2), Fraction(2, 3))
+    assert table.weights[3] is shared  # a Fraction is stored without a copy
+    direct = ConstraintTable(1, (2, "1/5"))
+    assert all(type(w) is Fraction for w in direct.weights)
+    for bad in ([1, -1], [Fraction(-1, 2), 1], ["-3", 1]):
+        with pytest.raises(ArgumentError):
+            make_table(bad)
+    with pytest.raises(ArgumentError):
+        ConstraintTable(1, (Fraction(1), Fraction(-1)))
