@@ -4,7 +4,8 @@ Five classes drive everything downstream:
   degenerate (DG)  products of unary factors
   ED               unary factors + equality/disequality links
   AF               a degenerate part times binary affine relations
-                   through one pivot variable
+                   through one pivot variable: the ED members with at most
+                   one parity component, read off the ED certificate
   IM_opt           unary factors + implication-shaped factors (1,1,L,1), L<1
 plus two support predicates (affine, implication-definable).
 """
@@ -18,6 +19,7 @@ from prodcsp import (
     XOR,
     binary_witness_search,
     certificate_matches,
+    is_af,
     is_degenerate,
     is_ed,
     is_imopt,
@@ -36,6 +38,15 @@ print("certificate rebuilds the table:", certificate_matches(cert, rank1))
 
 # EQ is the archetypal ED member; the certificate names the parity link.
 print("\nED certificate of EQ:", is_ed(EQ).parity_links)
+
+# AF is read off the ED certificate: one parity component through a pivot
+# is AF, two separate components are ED but not AF.
+star = is_af(make_table([1, 0, 0, 0, 0, 0, 0, 2], "STAR"))
+print(f"\nAF certificate of STAR (x1=x2=x3): pivot x{star.pivot}, relations",
+      [(j, sorted(rel)) for j, rel in star.binary_relations])
+two_links = EQ.expand(2).expand(2).multiply(EQ.expand(0).expand(0))
+print("x1=x2 and x3=x4: ED", is_ed(two_links) is not None,
+      "/ AF", is_af(two_links) is not None)
 
 # The binary table (2,1,1,1) is implication-weighted because 2*1 > 1*1.
 two = make_table([2, 1, 1, 1], "TWO")

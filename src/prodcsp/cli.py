@@ -41,7 +41,6 @@ from .trichotomy import classify_set, explain
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-9
     seed: int = 0
     max_n: int = 24
     exact_only: bool = False
@@ -95,7 +94,7 @@ def cmd_classify(args, config: RunConfig, constraint_detail: bool) -> int:
     if not tables:
         print("error: no constraints in input", file=sys.stderr)
         return 2
-    report = classify_set(list(tables.values()), config.tolerance)
+    report = classify_set(list(tables.values()))
     if config.machine:
         for r in report.per_constraint:
             classes = ",".join(sorted(r.classes))
@@ -135,14 +134,13 @@ def _solve_result_lines(result, config: RunConfig):
 def cmd_solve(args, config: RunConfig) -> int:
     inst = parse_instance(_read(args.file))
     method = args.method
-    if method == "auto":
-        certs = certify_instance(inst, config.tolerance)
+    if method in ("auto", "tractable"):
+        certs = certify_instance(inst)
+        if certs is None and method == "tractable":
+            print("error: some applied constraint has no ed certificate", file=sys.stderr)
+            return 2
         method = "tractable" if certs is not None else "brute"
     if method == "tractable":
-        certs = certify_instance(inst, config.tolerance)
-        if certs is None:
-            print("error: some applied constraint has no ed/af certificate", file=sys.stderr)
-            return 2
         result = solve_tractable(inst, certs)
     elif method == "brute":
         result = brute_force(inst, max_n=config.max_n)
@@ -170,7 +168,7 @@ def cmd_reduce(args, config: RunConfig) -> int:
     elif mode == "bis2csp":
         out = render_instance(reductions.bis_to_implies(parse_graph(_read(args.file))))
     elif mode == "csp2flow":
-        red = reductions.imopt_to_flow(parse_instance(_read(args.file)), rel_tol=config.tolerance)
+        red = reductions.imopt_to_flow(parse_instance(_read(args.file)))
         if red.trivially_zero:
             out = "# contradictory pins: optimum 0 without a flow instance\n"
         else:
@@ -353,7 +351,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
     config = RunConfig(
-        tolerance=args.tol,
         seed=args.seed,
         max_n=args.max_n,
         exact_only=args.exact,

@@ -30,7 +30,7 @@ from .construct import ConstructionScript
 from .errors import ParseError
 from .graphs import GraphInstance
 from .instances import Assignment, CspInstance
-from .ratmath import format_fraction
+from .ratmath import format_fraction, parse_weight
 from .tables import BUILTINS, ConstraintTable
 
 _RESERVED = set(BUILTINS)
@@ -45,7 +45,7 @@ def _lines(text: str):
 
 def _weight(token: str, lineno: int) -> Fraction:
     try:
-        value = Fraction(token)
+        value = parse_weight(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad weight {token!r} (use decimals or p/q)")
     if value < 0:

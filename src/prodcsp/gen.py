@@ -48,7 +48,7 @@ def _pow2(rng: random.Random, lo: int = -2, hi: int = 2) -> Fraction:
 def random_ed_constraint(rng: random.Random, arity: int, name: str) -> ConstraintTable:
     """A certified ed member with power-of-two weights: product of random
     parity links, occasional pins, and positive unary factors."""
-    table = make_table([_pow2(rng)] if arity == 0 else [1] * (1 << arity))
+    table = make_table([1] * (1 << arity))
     for v in range(1, arity + 1):
         if rng.random() < 0.15:
             pin = rng.randint(0, 1)
@@ -71,7 +71,7 @@ def random_ed_constraint(rng: random.Random, arity: int, name: str) -> Constrain
 def random_af_constraint(rng: random.Random, arity: int, name: str) -> ConstraintTable:
     """A certified af member: a pivot star of parity links times positive
     unary factors (power-of-two weights)."""
-    table = make_table([_pow2(rng)] if arity == 0 else [1] * (1 << arity))
+    table = make_table([1] * (1 << arity))
     for v in range(1, arity + 1):
         table = table.multiply(_unary_at(v, arity, _pow2(rng), _pow2(rng)))
     if arity >= 2:
@@ -95,7 +95,7 @@ def random_imopt_constraint(
 ) -> ConstraintTable:
     """A certified implication-weighted member: positive power-of-two unary
     factors times (1,1,lambda,1) pair factors, lambda in {0} or (0,1)."""
-    table = make_table([_pow2(rng)] if arity == 0 else [1] * (1 << arity))
+    table = make_table([1] * (1 << arity))
     for v in range(1, arity + 1):
         table = table.multiply(_unary_at(v, arity, _pow2(rng, -1, 2), _pow2(rng, -1, 2)))
     if arity >= 2:

@@ -11,7 +11,6 @@ tie-break everywhere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -136,18 +135,17 @@ class SolveResult:
         object.__setattr__(self, "log2", None if zero else frac_log2(self.optimum))
 
 
-def _scan_chunk(
-    start: int,
-    stop: int,
+def _scan(
+    total: int,
     napps: int,
     shifts: list[tuple[int, ...]],
     offsets: list[tuple[int, ...]],
     tables: list[tuple[int, ...]],
 ) -> tuple[int, int]:
-    """Best (integer value, smallest assignment int) over [start, stop)."""
+    """Best (integer value, smallest assignment int) over [0, total)."""
     best = -1
-    best_at = start
-    for a in range(start, stop):
+    best_at = 0
+    for a in range(total):
         value = 1
         for t in range(napps):
             idx = 0
@@ -170,7 +168,9 @@ def brute_force(
     workers: int = 1,
 ) -> SolveResult:
     """Exhaustive exact optimum; argmax is the lexicographically smallest
-    maximizer, independent of how the assignment space is partitioned."""
+    maximizer. `workers` is accepted for compatibility and ignored: the scan
+    runs in one thread, since a thread pool gave no speedup on this
+    pure-Python loop."""
     n = inst.num_vars
     if n > max_n:
         raise CapExceededError(
@@ -190,25 +190,7 @@ def brute_force(
         int_tables.append(tuple(int(w * lcm) for w in table.weights))
         shifts.append(tuple(n - v for v in variables))
         offsets.append(tuple(k - 1 - p for p in range(k)))
-    napps = len(inst.applications)
-    total = 1 << n
-    if workers <= 1 or total < 2 * workers:
-        best, best_at = _scan_chunk(0, total, napps, shifts, offsets, int_tables)
-    else:
-        bounds = [total * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda w: _scan_chunk(
-                        bounds[w], bounds[w + 1], napps, shifts, offsets, int_tables
-                    ),
-                    range(workers),
-                )
-            )
-        best, best_at = -1, 0
-        for value, at in parts:  # chunk order = ascending assignment ranges
-            if value > best:
-                best, best_at = value, at
+    best, best_at = _scan(1 << n, len(inst.applications), shifts, offsets, int_tables)
     return SolveResult(
         Fraction(best, 1) / denominator, int_to_assignment(best_at, n), "brute_force"
     )

@@ -6,7 +6,9 @@ classes of weighted Boolean constraints:
 - ed:          a product of unary factors, binary equalities, and binary
                disequalities (parity links)
 - af:          a degenerate part times a star of binary affine relations
-               sharing one pivot variable
+               sharing one pivot variable; read off the ed certificate, as
+               the ed members with at most one parity component of two or
+               more variables
 - imopt:       a product of unary factors and implication-weighted factors
                (1,1,lambda,1) with 0 <= lambda < 1
 
@@ -424,70 +426,47 @@ def is_ed(table: ConstraintTable) -> Optional[EdCertificate]:
     return EdCertificate(pins, frozenset(span_links), factors)
 
 
-def _pair_closure(pairs: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Affine closure inside {0,1}^2: only the four 3-element subsets are not
-    already affine."""
-    if len(pairs) == 3:
-        return frozenset([(0, 0), (0, 1), (1, 0), (1, 1)])
-    return pairs
+_EQUAL = frozenset([(0, 0), (1, 1)])
+_UNEQUAL = frozenset([(0, 1), (1, 0)])
 
 
-_DIAGONALS = {
-    frozenset([(0, 0), (1, 1)]): 0,  # equal
-    frozenset([(0, 1), (1, 0)]): 1,  # unequal
-}
+def _af_from_ed(ed: Optional[EdCertificate]) -> Optional[AfCertificate]:
+    """The AF certificate carried by an ED certificate, or None.
+
+    A binary affine relation is empty, a point, a pin, a parity link or the
+    whole square, so a star of them through one pivot is pins plus parity
+    links that all touch the pivot: the ED certificates whose links share one
+    representative. That representative is the pivot (variable 1 when there
+    are no links), each link becomes one relation, and the pins become zero
+    unary entries.
+    """
+    if ed is None:
+        return None
+    reps = {i for i, _, _ in ed.parity_links}
+    if len(reps) > 1:
+        return None
+    pivot = reps.pop() if reps else 1
+    relations = tuple(
+        (j, _EQUAL if parity == "equal" else _UNEQUAL)
+        for _, j, parity in sorted(ed.parity_links)
+    )
+    factors = list(ed.unary_factors)
+    for v, c in ed.pins:
+        u = factors[v - 1]
+        factors[v - 1] = (u[0], ZERO) if c == 0 else (ZERO, u[1])
+    return AfCertificate(pivot, relations, tuple(factors))
 
 
 def is_af(table: ConstraintTable) -> Optional[AfCertificate]:
-    """Search for a pivot whose pairwise affine closures, together with the
-    per-variable pins, rebuild the support; then factor the values."""
-    k = table.arity
-    if k == 0:
-        return AfCertificate(1, (), ()) if table.weights[0] == 1 else None
-    mask = table.support().mask
-    if mask == 0:
-        return AfCertificate(1, (), _all_zero_factors(k))
-    if not _affine_mask(k, mask):
-        return None
-    pts = _support_points(k, mask)
-    pins = _pins_of(k, mask)
-    pinned = {v for v, _ in pins}
-    projections = {
-        v: {_bit(p, v, k) for p in pts} for v in range(1, k + 1)
-    }
-    for pivot in range(1, k + 1):
-        closures = {}
-        for j in range(1, k + 1):
-            if j == pivot:
-                continue
-            proj = frozenset((_bit(p, pivot, k), _bit(p, j, k)) for p in pts)
-            closures[j] = _pair_closure(proj)
-        rebuilt = 0
-        for idx in range(1 << k):
-            if all(_bit(idx, v, k) in projections[v] for v in range(1, k + 1)) and all(
-                (_bit(idx, pivot, k), _bit(idx, j, k)) in rel
-                for j, rel in closures.items()
-            ):
-                rebuilt |= 1 << idx
-        if rebuilt != mask:
-            continue
-        links = []
-        if pivot not in pinned:
-            for j, rel in closures.items():
-                if j not in pinned and rel in _DIAGONALS:
-                    links.append((pivot, j, _DIAGONALS[rel]))
-        comps = _components_from_links(k, pinned, links)
-        factors = _factor_over_components(table, pins, comps)
-        if factors is None:
-            continue
-        factors = list(factors)
-        for v, c in pins:
-            u = factors[v - 1]
-            factors[v - 1] = (u[0], ZERO) if c == 0 else (ZERO, u[1])
-        return AfCertificate(
-            pivot, tuple(sorted(closures.items())), tuple(factors)
-        )
-    return None
+    """A degenerate part times binary affine relations sharing one pivot,
+    read off the ED certificate (see `_af_from_ed`): exactly the ED members
+    with at most one parity component of two or more variables.
+
+    This is the narrow AF of this package, and it lies inside ED. The paper
+    lists AF ("affine"-like constraints) as a tractable case of its own and
+    defines it more broadly; that class is not decided here.
+    """
+    return _af_from_ed(is_ed(table))
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +645,10 @@ def _imopt_lp(table: ConstraintTable, rel_tol: float = 1e-9) -> Optional[ImOptCe
     return is_imopt(table)
 
 
-def is_imopt(table: ConstraintTable, rel_tol: float = 1e-9) -> Optional[ImOptCertificate]:
+def is_imopt(table: ConstraintTable) -> Optional[ImOptCertificate]:
     """Implication-definable support plus the exact antichain Moebius test
     on its values (see `_imopt_exact`); every support, full or partial, is
-    decided in rational arithmetic. rel_tol is accepted for compatibility
-    and unused.
+    decided in rational arithmetic.
     """
     k = table.arity
     if k == 0:
@@ -741,10 +719,10 @@ CLASS_NAMES = ("NZ", "DG", "ED", "AF", "IM_opt", "affine_support", "imp_support"
 
 
 def memberships(
-    table: ConstraintTable, rel_tol: float = 1e-9
+    table: ConstraintTable,
 ) -> tuple[frozenset[str], dict[str, Certificate]]:
     """All class memberships of one constraint, with certificates where the
-    class carries one."""
+    class carries one; AF comes from the ED certificate, not a second pass."""
     members: set[str] = set()
     certs: dict[str, Certificate] = {}
     if is_nonzero(table):
@@ -753,13 +731,14 @@ def memberships(
         members.add("affine_support")
     if has_imp_support(table):
         members.add("imp_support")
-    for label, decide in (("DG", is_degenerate), ("ED", is_ed), ("AF", is_af)):
-        cert = decide(table)
+    ed = is_ed(table)
+    for label, cert in (
+        ("DG", is_degenerate(table)),
+        ("ED", ed),
+        ("AF", _af_from_ed(ed)),
+        ("IM_opt", is_imopt(table)),
+    ):
         if cert is not None:
             members.add(label)
             certs[label] = cert
-    cert = is_imopt(table, rel_tol)
-    if cert is not None:
-        members.add("IM_opt")
-        certs["IM_opt"] = cert
     return frozenset(members), certs

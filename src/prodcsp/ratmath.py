@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -50,9 +51,37 @@ def format_fraction(value: Fraction) -> str:
     return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
+def _str_to_int(digits: str) -> int:
+    """The integer of a decimal digit string of any length; the inverse of
+    `_int_to_str`, splitting past the str-to-int digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    half = len(digits) // 2
+    return _str_to_int(digits[:-half]) * 10**half + _str_to_int(digits[-half:])
+
+
+_LONG_RATIONAL = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+
+
 def parse_weight(token: str) -> Fraction:
-    """Parse `3/2` or `1.5` (or `2`) as an exact rational."""
-    return Fraction(token)
+    """Parse `3/2` or `1.5` (or `2`) as an exact rational.
+
+    An integer or p/q token past the interpreter's str-to-int digit limit,
+    as `format_fraction` prints for long values, is converted in chunks, so
+    no process-wide setting changes; any other token Fraction() rejects is
+    rejected with its ValueError.
+    """
+    try:
+        return Fraction(token)
+    except ValueError:
+        match = _LONG_RATIONAL.fullmatch(token)
+        if match is None:
+            raise
+    sign, num, den = match.groups()
+    value = Fraction(_str_to_int(num), _str_to_int(den) if den else 1)
+    return -value if sign == "-" else value
 
 
 def rel_close(a: Fraction | float, b: Fraction | float, rel_tol: float) -> bool:

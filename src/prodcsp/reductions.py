@@ -111,7 +111,6 @@ class FlowReduction:
 def imopt_to_flow(
     inst: CspInstance,
     certs: Mapping[str, ImOptCertificate] | None = None,
-    rel_tol: float = 1e-9,
 ) -> FlowReduction:
     """Build the flow-design instance for an implication-weighted CSP.
 
@@ -132,7 +131,7 @@ def imopt_to_flow(
         for name, table in blocks.items():
             if table.arity == 0:
                 continue
-            cert = is_imopt(table, rel_tol)
+            cert = is_imopt(table)
             if cert is None:
                 raise CertificateError(
                     f"constraint {name!r} is not implication-weighted"

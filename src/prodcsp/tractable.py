@@ -1,5 +1,6 @@
-"""Polynomial-time exact solver for instances whose constraints carry
-ed/af factorization certificates.
+"""Polynomial-time exact solver for instances whose constraints carry ed
+factorization certificates (af members are ed members, so they need no
+route of their own).
 
 Every application decomposes through its certificate into unary weight
 factors, pins, and pairwise parity links. A parity union-find groups the
@@ -16,11 +17,9 @@ from typing import Mapping, Optional
 
 from .errors import CertificateError, ProdCspError
 from .instances import CspInstance, SolveResult, measure
-from .membership import AfCertificate, EdCertificate, is_af, is_ed
+from .membership import EdCertificate, is_ed
 
 ONE = Fraction(1)
-
-TractableCertificate = EdCertificate | AfCertificate
 
 
 class ParityUnionFind:
@@ -55,58 +54,33 @@ class ParityUnionFind:
 
 
 def _decompose(
-    cert: TractableCertificate, variables: tuple[int, ...]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, Fraction, Fraction]], bool]:
+    cert: EdCertificate, variables: tuple[int, ...]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, Fraction, Fraction]]]:
     """Map a certificate's structure onto instance variables.
 
-    Returns (pins, links, unary weight contributions, zero_constraint)."""
-    pins: list[tuple[int, int]] = []
-    links: list[tuple[int, int, int]] = []
-    unaries: list[tuple[int, Fraction, Fraction]] = []
-    if isinstance(cert, EdCertificate):
-        for pos, bit in cert.pins:
-            pins.append((variables[pos - 1], bit))
-        for i, j, parity in cert.parity_links:
-            links.append((variables[i - 1], variables[j - 1], 0 if parity == "equal" else 1))
-    else:
-        pivot_var = variables[cert.pivot - 1]
-        for j, rel in cert.binary_relations:
-            other = variables[j - 1]
-            if len(rel) == 4:
-                continue
-            if len(rel) == 0:
-                return [], [], [], True
-            if len(rel) == 1:
-                (a, b), = rel
-                pins.append((pivot_var, a))
-                pins.append((other, b))
-                continue
-            first = {a for a, _ in rel}
-            second = {b for _, b in rel}
-            if len(first) == 1:
-                pins.append((pivot_var, first.pop()))
-            elif len(second) == 1:
-                pins.append((other, second.pop()))
-            else:
-                parity = 0 if (0, 0) in rel else 1
-                links.append((pivot_var, other, parity))
-    for pos, (w0, w1) in enumerate(cert.unary_factors, start=1):
-        if (w0, w1) != (ONE, ONE):
-            unaries.append((variables[pos - 1], w0, w1))
-    return pins, links, unaries, False
+    Returns (pins, links, unary weight contributions)."""
+    pins = [(variables[pos - 1], bit) for pos, bit in cert.pins]
+    links = [
+        (variables[i - 1], variables[j - 1], 0 if parity == "equal" else 1)
+        for i, j, parity in cert.parity_links
+    ]
+    unaries = [
+        (variables[pos - 1], w0, w1)
+        for pos, (w0, w1) in enumerate(cert.unary_factors, start=1)
+        if (w0, w1) != (ONE, ONE)
+    ]
+    return pins, links, unaries
 
 
-def certify_instance(
-    inst: CspInstance, rel_tol: float = 1e-9
-) -> Optional[dict[str, TractableCertificate]]:
-    """Ed/af certificates for every distinct applied constraint, keyed by
-    name, or None when some constraint has neither."""
-    certs: dict[str, TractableCertificate] = {}
+def certify_instance(inst: CspInstance) -> Optional[dict[str, EdCertificate]]:
+    """Ed certificates for every distinct applied constraint, keyed by name,
+    or None when some constraint has none."""
+    certs: dict[str, EdCertificate] = {}
     _, blocks = inst.named_tables()
     for name, table in blocks.items():
         if table.arity == 0:
             continue
-        cert = is_ed(table) or is_af(table)
+        cert = is_ed(table)
         if cert is None:
             return None
         certs[name] = cert
@@ -119,7 +93,7 @@ def _zero_result(n: int) -> SolveResult:
 
 def solve_tractable(
     inst: CspInstance,
-    certs: Mapping[str, TractableCertificate],
+    certs: Mapping[str, EdCertificate],
     allow_brute_fallback: bool = False,
 ) -> SolveResult:
     """Exact optimum through the certificates' pins/links/unary factors.
@@ -127,7 +101,8 @@ def solve_tractable(
     Contradictory systems (and components whose both choices vanish) yield
     optimum 0 with the all-zeros assignment. Per-component ties pick the
     representative bit 0. A missing certificate is refused unless the
-    explicit brute-force fallback is requested.
+    explicit brute-force fallback is requested; a certificate that is not an
+    ed certificate is refused always.
     """
     n = inst.num_vars
     uf = ParityUnionFind(n + 1)  # node 0 is the grounded "false" reference
@@ -142,8 +117,10 @@ def solve_tractable(
 
                 return brute_force(inst)
             raise CertificateError(
-                f"no ed/af certificate supplied for applied constraint {name!r}"
+                f"no ed certificate supplied for applied constraint {name!r}"
             )
+        if table.arity > 0 and not isinstance(certs[name], EdCertificate):
+            raise CertificateError(f"certificate for {name!r} is not an ed certificate")
     for table, variables in inst.applications:
         if table.arity == 0:
             constant *= table.weights[0]
@@ -154,9 +131,7 @@ def solve_tractable(
         cert = certs[name]
         if len(cert.unary_factors) != table.arity:
             raise CertificateError(f"certificate arity mismatch for {name!r}")
-        pins, links, unaries, is_zero_constraint = _decompose(cert, variables)
-        if is_zero_constraint:
-            return _zero_result(n)
+        pins, links, unaries = _decompose(cert, variables)
         for var, bit in pins:
             if not uf.union(var, 0, bit):
                 return _zero_result(n)

@@ -1,7 +1,8 @@
 """Decision tree for a finite constraint set with free unary constraints:
 
-- every constraint ed-factorable, or every constraint af-factorable
-  -> the product optimum is computable exactly in polynomial time;
+- every constraint ed-factorable
+  -> the product optimum is computable exactly in polynomial time (every
+     af-factorable constraint is ed-factorable, so PO_AF is never returned);
 - otherwise, everything implication-weighted (imopt)
   -> intermediate: as hard as product bipartite independent set, and
      reducible to the product flow-design problem;
@@ -22,7 +23,7 @@ from .tables import ConstraintTable
 
 
 class Category(enum.Enum):
-    PO_AF = "PO_AF"
+    PO_AF = "PO_AF"  # kept for callers; AF lies inside ED, so never returned
     PO_ED = "PO_ED"
     INTERMEDIATE_IMOPT = "INTERMEDIATE_IMOPT"
     IS_HARD = "IS_HARD"
@@ -61,20 +62,17 @@ def _named(tables: Sequence[ConstraintTable]) -> list[tuple[str, ConstraintTable
     return out
 
 
-def classify_set(
-    constraints: Sequence[ConstraintTable], rel_tol: float = 1e-9
-) -> ClassReport:
+def classify_set(constraints: Sequence[ConstraintTable]) -> ClassReport:
     """Classify a finite constraint set, with per-constraint evidence.
 
-    When the set lies in both the ed and af classes the category is PO_ED
-    (the ed route is checked first); both certificate families are attached
-    per constraint either way.
+    An af set is an ed set, so every PO set is PO_ED; AF verdicts and
+    certificates are still attached per constraint.
     """
     if not constraints:
         raise ArgumentError("classify_set requires a nonempty constraint set")
     reports = []
     for name, table in _named(constraints):
-        classes, certs = memberships(table, rel_tol)
+        classes, certs = memberships(table)
         reports.append(ConstraintReport(name, table, classes, certs))
     witnesses: dict[str, str] = {}
     for label in ("ED", "AF", "IM_opt"):
@@ -83,8 +81,6 @@ def classify_set(
             witnesses[label] = violator
     if "ED" not in witnesses:
         category = Category.PO_ED
-    elif "AF" not in witnesses:
-        category = Category.PO_AF
     elif "IM_opt" not in witnesses:
         category = Category.INTERMEDIATE_IMOPT
     else:
@@ -104,12 +100,11 @@ def explain(report: ClassReport) -> str:
         present = ", ".join(c for c in CLASS_NAMES if c in r.classes) or "none"
         lines.append(f"{r.name}: {present}")
     cat = report.category
-    if cat in (Category.PO_ED, Category.PO_AF):
-        family = "equality/disequality products" if cat is Category.PO_ED else "pivoted affine stars"
+    if cat is Category.PO_ED:
         lines.append(
-            f"Every constraint factors into {family}; the exact polynomial-time "
-            "parity-component solver applies, so the optimization problem is "
-            "solvable exactly in polynomial time."
+            "Every constraint factors into equality/disequality products; the "
+            "exact polynomial-time parity-component solver applies, so the "
+            "optimization problem is solvable exactly in polynomial time."
         )
     elif cat is Category.INTERMEDIATE_IMOPT:
         lines.append(

@@ -278,3 +278,43 @@ class TestLongOptimum:
         assert code == 0 and f"optimum: {want}\n" in out
         code, out, _ = run(capsys, "eval", str(path), "--assign", "1" * 50)
         assert code == 0 and f"measure {want} " in out
+
+
+class TestSolveCertifiesOnce:
+    def test_auto_and_tractable_certify_once(self, tmp_path, capsys, monkeypatch):
+        import prodcsp.cli as cli
+
+        calls = []
+        real = cli.certify_instance
+
+        def counting(inst):
+            calls.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(cli, "certify_instance", counting)
+        path = tmp_path / "i.txt"
+        path.write_text(INSTANCE)
+        for method in ("auto", "tractable"):
+            calls.clear()
+            code, out, _ = run(capsys, "solve", str(path), "--method", method)
+            assert code == 0 and "method parity_components" in out
+            assert len(calls) == 1
+
+
+class TestTolAccepted:
+    """--tol is read by no decider: any positive value gives the default
+    output, and a value <= 0 is still a usage error."""
+
+    def test_positive_tol_changes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text(CONSTRAINTS)
+        _, default, _ = run(capsys, "--machine", "classify", str(path))
+        code, loose, _ = run(capsys, "--tol", "0.5", "--machine", "classify", str(path))
+        assert code == 0 and loose == default
+
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text(CONSTRAINTS)
+        for tol in ("0", "-1"):
+            code, _, err = run(capsys, "--tol", tol, "classify", str(path))
+            assert code == 2 and "--tol must be positive" in err
