@@ -287,12 +287,15 @@ def suite_instances(seed: int = 0) -> list[CheckResult]:
         pool = [
             gen.random_ed_constraint(rng, rng.randint(1, 3), f"E{trial}a"),
             gen.random_af_constraint(rng, rng.randint(1, 3), f"A{trial}b"),
+            EQ,  # unweighted links leave ties, where the argmax tie-break shows
+            XOR,
         ]
         inst = gen.random_instance(rng.randint(1, 8), pool, rng.randint(0, 10), seed + trial)
         certs = certify_instance(inst)
         got = solve_tractable(inst, certs)
         want = brute_force(inst)
         ok &= got.optimum == want.optimum
+        ok &= got.argmax == want.argmax
         ok &= measure(inst, got.argmax) == got.optimum
     out.append(CheckResult("instances", "tractable solver matches brute force", ok))
 

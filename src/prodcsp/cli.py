@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", help="optimize an instance file")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "brute", "tractable", "hill"), default="auto")
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--eps", type=float, default=0.5, help="accepted and ignored by every method")
     p.add_argument("--restarts", type=int, default=8)
 
     p = command("reduce", help="apply an instance transform")

@@ -160,13 +160,16 @@ def parse_instance(text: str) -> CspInstance:
             if len(tokens) < 2:
                 raise ParseError(lineno, "expected: apply <NAME> <i1> ... <ik>")
             table = acc.lookup(tokens[1], lineno)
-            variables = tuple(_int(t, lineno, "variable index") for t in tokens[2:])
+            try:
+                variables = tuple(map(int, tokens[2:]))
+            except ValueError:  # name the first bad token
+                variables = tuple(_int(t, lineno, "variable index") for t in tokens[2:])
             if len(variables) != table.arity:
                 raise ParseError(
                     lineno,
                     f"{tokens[1]} has arity {table.arity}, got {len(variables)} indices",
                 )
-            if any(not (1 <= v <= num_vars) for v in variables):
+            if variables and (min(variables) < 1 or max(variables) > num_vars):
                 raise ParseError(lineno, f"variable index out of range 1..{num_vars}")
             apps.append((table, variables))
         else:

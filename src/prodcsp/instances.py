@@ -42,17 +42,17 @@ class CspInstance:
             raise ArgumentError("variable count must be nonnegative")
         apps = []
         for table, variables in self.applications:
-            variables = tuple(int(v) for v in variables)
+            variables = tuple(map(int, variables))
             if len(variables) != table.arity:
                 raise ArityError(
                     f"{table.name or 'constraint'} has arity {table.arity}, "
                     f"applied to {len(variables)} variables"
                 )
-            for v in variables:
-                if not (1 <= v <= self.num_vars):
-                    raise ArgumentError(
-                        f"variable index {v} out of range 1..{self.num_vars}"
-                    )
+            if variables and (min(variables) < 1 or max(variables) > self.num_vars):
+                v = next(v for v in variables if not (1 <= v <= self.num_vars))
+                raise ArgumentError(
+                    f"variable index {v} out of range 1..{self.num_vars}"
+                )
             apps.append((table, variables))
         object.__setattr__(self, "applications", tuple(apps))
 
@@ -104,15 +104,20 @@ def measure(inst: CspInstance, bits: Sequence[int]) -> Fraction:
         raise ArityError(
             f"assignment length {len(bits)} != variable count {inst.num_vars}"
         )
-    total = Fraction(1)
+    # Multiply numerators and denominators as ints; one Fraction at the end.
+    num = den = 1
     for table, variables in inst.applications:
-        value = table.weights[
-            assignment_to_int([bits[v - 1] for v in variables])
-        ]
-        if value == 0:
+        idx = 0
+        for v in variables:
+            idx = (idx << 1) | (bits[v - 1] & 1)
+        value = table.weights[idx]
+        if not value:
             return Fraction(0)
-        total *= value
-    return total
+        if value.numerator != 1:
+            num *= value.numerator
+        if value.denominator != 1:
+            den *= value.denominator
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,9 @@ def brute_force(
     workers: int = 1,
 ) -> SolveResult:
     """Exhaustive exact optimum; argmax is the lexicographically smallest
-    maximizer. `workers` is accepted for compatibility and ignored: the scan
+    maximizer. Only variables that occur in some application are enumerated;
+    the others are 0 in it, and the cap still applies to the variable count.
+    `workers` is accepted for compatibility and ignored: the scan
     runs in one thread, since a thread pool gave no speedup on this
     pure-Python loop."""
     n = inst.num_vars
@@ -177,6 +184,9 @@ def brute_force(
             f"{n} variables exceed the exhaustive cap {max_n}; raise max_n, or "
             "use the tractable or approximate paths"
         )
+    occurring = sorted({v for _, variables in inst.applications for v in variables})
+    m = len(occurring)
+    shift = {v: m - 1 - rank for rank, v in enumerate(occurring)}
     # Clear denominators per application: a constant factor per application
     # cannot change which assignments maximize the product.
     denominator = Fraction(1)
@@ -188,12 +198,13 @@ def brute_force(
             lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
         denominator *= lcm
         int_tables.append(tuple(int(w * lcm) for w in table.weights))
-        shifts.append(tuple(n - v for v in variables))
+        shifts.append(tuple(shift[v] for v in variables))
         offsets.append(tuple(k - 1 - p for p in range(k)))
-    best, best_at = _scan(1 << n, len(inst.applications), shifts, offsets, int_tables)
-    return SolveResult(
-        Fraction(best, 1) / denominator, int_to_assignment(best_at, n), "brute_force"
-    )
+    best, best_at = _scan(1 << m, len(inst.applications), shifts, offsets, int_tables)
+    bits = [0] * n
+    for v in occurring:
+        bits[v - 1] = (best_at >> shift[v]) & 1
+    return SolveResult(Fraction(best, 1) / denominator, tuple(bits), "brute_force")
 
 
 def check_ratio(

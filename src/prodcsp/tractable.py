@@ -6,12 +6,14 @@ Every application decomposes through its certificate into unary weight
 factors, pins, and pairwise parity links. A parity union-find groups the
 variables; a contradiction forces the optimum to zero, and otherwise each
 parity component contributes independently the larger of its two aggregate
-weights, so only linearly many candidate solutions are ever examined.
+weights, so only linearly many candidate solutions are ever examined. A tie
+sets the component's smallest-index variable to 0: the argmax is the
+lexicographically smallest maximizer, as everywhere else in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -31,12 +33,21 @@ class ParityUnionFind:
         self.rank = [0] * size
 
     def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 0
-        root, par = self.find(self.parent[x])
-        self.parent[x] = root
-        self.parity[x] ^= par
-        return root, self.parity[x]
+        parent, parity = self.parent, self.parity
+        up = parent[x]
+        if parent[up] == up:  # x is a root (parity 0) or a root's child
+            return up, parity[x]
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        # Compress from the node nearest the root, accumulating parities.
+        par = 0
+        for node in reversed(path):
+            par ^= parity[node]
+            parity[node] = par
+            parent[node] = x
+        return x, par
 
     def union(self, x: int, y: int, parity: int) -> bool:
         """Demand x xor y == parity; False on contradiction."""
@@ -51,25 +62,6 @@ class ParityUnionFind:
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return True
-
-
-def _decompose(
-    cert: EdCertificate, variables: tuple[int, ...]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, Fraction, Fraction]]]:
-    """Map a certificate's structure onto instance variables.
-
-    Returns (pins, links, unary weight contributions)."""
-    pins = [(variables[pos - 1], bit) for pos, bit in cert.pins]
-    links = [
-        (variables[i - 1], variables[j - 1], 0 if parity == "equal" else 1)
-        for i, j, parity in cert.parity_links
-    ]
-    unaries = [
-        (variables[pos - 1], w0, w1)
-        for pos, (w0, w1) in enumerate(cert.unary_factors, start=1)
-        if (w0, w1) != (ONE, ONE)
-    ]
-    return pins, links, unaries
 
 
 def certify_instance(inst: CspInstance) -> Optional[dict[str, EdCertificate]]:
@@ -91,6 +83,26 @@ def _zero_result(n: int) -> SolveResult:
     return SolveResult(Fraction(0), (0,) * n, "parity_components")
 
 
+def _plan(cert: EdCertificate):
+    """A certificate in integer form with 0-based positions: (pins, links with
+    parity 0/1, non-trivial unary pairs times the lcm of their denominators,
+    and scale, the product of those lcms)."""
+    pins = [(pos - 1, bit) for pos, bit in cert.pins]
+    links = [
+        (i - 1, j - 1, 0 if parity == "equal" else 1)
+        for i, j, parity in cert.parity_links
+    ]
+    unaries = []
+    scale = 1
+    for pos, (w0, w1) in enumerate(cert.unary_factors):
+        if w0 == w1 == ONE:
+            continue
+        lcm = math.lcm(w0.denominator, w1.denominator)
+        unaries.append((pos, int(w0 * lcm), int(w1 * lcm)))
+        scale *= lcm
+    return pins, links, unaries, scale
+
+
 def solve_tractable(
     inst: CspInstance,
     certs: Mapping[str, EdCertificate],
@@ -99,19 +111,23 @@ def solve_tractable(
     """Exact optimum through the certificates' pins/links/unary factors.
 
     Contradictory systems (and components whose both choices vanish) yield
-    optimum 0 with the all-zeros assignment. Per-component ties pick the
-    representative bit 0. A missing certificate is refused unless the
-    explicit brute-force fallback is requested; a certificate that is not an
-    ed certificate is refused always.
+    optimum 0 with the all-zeros assignment. When a component's two choices
+    tie, it takes the one that sets its smallest-index variable to 0, so the
+    argmax is the lexicographically smallest maximizer. A missing certificate
+    is refused unless the explicit brute-force fallback is requested; a
+    certificate that is not an ed certificate is refused always.
+
+    Each distinct table is planned once (`_plan`), and all weights are ints
+    until the optimum is built as constant * product / (product of scales).
     """
     n = inst.num_vars
-    uf = ParityUnionFind(n + 1)  # node 0 is the grounded "false" reference
-    weight0 = [ONE] * (n + 1)
-    weight1 = [ONE] * (n + 1)
-    constant = ONE
     names, blocks = inst.named_tables()
+    plans = {}
     for name, table in blocks.items():
-        if table.arity > 0 and name not in certs:
+        if table.arity == 0:
+            plans[name] = ((), (), (), 1)
+            continue
+        if name not in certs:
             if allow_brute_fallback:
                 from .instances import brute_force
 
@@ -119,57 +135,63 @@ def solve_tractable(
             raise CertificateError(
                 f"no ed certificate supplied for applied constraint {name!r}"
             )
-        if table.arity > 0 and not isinstance(certs[name], EdCertificate):
-            raise CertificateError(f"certificate for {name!r} is not an ed certificate")
-    for table, variables in inst.applications:
-        if table.arity == 0:
-            constant *= table.weights[0]
-            if constant == 0:
-                return _zero_result(n)
-            continue
-        name = names[id(table)]
         cert = certs[name]
+        if not isinstance(cert, EdCertificate):
+            raise CertificateError(f"certificate for {name!r} is not an ed certificate")
         if len(cert.unary_factors) != table.arity:
             raise CertificateError(f"certificate arity mismatch for {name!r}")
-        pins, links, unaries = _decompose(cert, variables)
-        for var, bit in pins:
-            if not uf.union(var, 0, bit):
+        plans[name] = _plan(cert)
+    constant = math.prod(t.weights[0] for t, _ in inst.applications if t.arity == 0)
+    if constant == 0:
+        return _zero_result(n)
+    uf = ParityUnionFind(n + 1)  # node 0 is the grounded "false" reference
+    union = uf.union
+    weights = ([1] * (n + 1), [1] * (n + 1))  # per variable, at bit 0 and 1
+    denominator = 1
+    for table, variables in inst.applications:
+        pins, links, unaries, scale = plans[names[id(table)]]
+        for pos, bit in pins:
+            if not union(variables[pos], 0, bit):
                 return _zero_result(n)
-        for x, y, parity in links:
-            if not uf.union(x, y, parity):
+        for i, j, parity in links:
+            if not union(variables[i], variables[j], parity):
                 return _zero_result(n)
-        for var, w0, w1 in unaries:
-            weight0[var] *= w0
-            weight1[var] *= w1
-    # Aggregate per parity component; the ground component is forced.
-    ground_root, ground_par = uf.find(0)  # sigma(ground)=0 forces bit(root)=ground_par
-    per_root: dict[int, tuple[Fraction, Fraction]] = {}
+        for pos, a0, a1 in unaries:
+            weights[0][variables[pos]] *= a0
+            weights[1][variables[pos]] *= a1
+        if scale != 1:
+            denominator *= scale
+    # Aggregate per parity component: [value at root bit 0, at root bit 1,
+    # parity of the component's smallest-index variable]. sigma(ground)=0
+    # forces the ground component's root bit to ground_par.
+    found = [uf.find(var) for var in range(n + 1)]
+    ground_root, ground_par = found[0]
+    per_root: dict[int, list[int]] = {}
     for var in range(1, n + 1):
-        root, par = uf.find(var)
-        v0, v1 = per_root.get(root, (ONE, ONE))
-        # component value when the root's bit is t: variable reads t xor par
-        w_t0 = weight0[var] if par == 0 else weight1[var]
-        w_t1 = weight1[var] if par == 0 else weight0[var]
-        per_root[root] = (v0 * w_t0, v1 * w_t1)
-    optimum = constant
-    root_bit: dict[int, int] = {ground_root: ground_par}
-    for root, (v0, v1) in per_root.items():
-        if root == ground_root:
-            optimum *= v0 if ground_par == 0 else v1
-        elif v1 > v0:
-            optimum *= v1
-            root_bit[root] = 1
+        root, par = found[var]  # the variable reads (root bit) xor par
+        w_t0, w_t1 = weights[par][var], weights[par ^ 1][var]
+        acc = per_root.get(root)
+        if acc is None:
+            per_root[root] = [w_t0, w_t1, par]
         else:
-            optimum *= v0
-            root_bit[root] = 0
-        if optimum == 0:
+            acc[0] *= w_t0
+            acc[1] *= w_t1
+    product = 1
+    root_bit: dict[int, int] = {ground_root: ground_par}
+    for root, (v0, v1, first_par) in per_root.items():
+        if root == ground_root:
+            bit = ground_par
+        elif v0 == v1:
+            bit = first_par  # the smallest-index variable reads 0
+        else:
+            bit = int(v1 > v0)
+        value = v1 if bit else v0
+        if value == 0:
             return _zero_result(n)
-    bits = []
-    for var in range(1, n + 1):
-        root, par = uf.find(var)
-        bits.append(root_bit[root] ^ par)
-    argmax = tuple(bits)
-    result = SolveResult(optimum, argmax, "parity_components")
+        product *= value
+        root_bit[root] = bit
+    optimum = constant * Fraction(product, denominator)
+    argmax = tuple([root_bit[root] ^ par for root, par in found[1:]])
     achieved = measure(inst, argmax)
     if achieved != optimum:
         raise ProdCspError(
@@ -177,4 +199,4 @@ def solve_tractable(
             f"{optimum} not achieved by its assignment (got {achieved}); "
             "a supplied certificate does not reproduce its constraint"
         )
-    return result
+    return SolveResult(optimum, argmax, "parity_components")
