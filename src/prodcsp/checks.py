@@ -36,7 +36,7 @@ from .oracles import (
     rectangle_condition_holds,
 )
 from .tables import BUILTINS, ConstraintTable, EQ, XOR, make_table
-from .formats import parse_constraints, render_constraint
+from .formats import parse_constraints, parse_instance, render_constraint, render_instance
 from .tractable import certify_instance, solve_tractable
 from .trichotomy import Category, classify_set
 
@@ -363,6 +363,28 @@ def suite_instances(seed: int = 0) -> list[CheckResult]:
         and measure(CspInstance(3, ()), (0, 1, 0)) == 1
     )
     out.append(CheckResult("instances", "ratio zero-rule and empty product", ok))
+
+    ok = True
+    for trial in range(8):
+        pool = [
+            gen.random_ed_constraint(rng, rng.randint(1, 3), f"R{trial}a"),
+            gen.random_af_constraint(rng, rng.randint(2, 3), f"R{trial}b"),
+            EQ,
+            XOR,
+        ]
+        if trial == 0:  # a parity instance at the benchmark's scale
+            inst = gen.random_instance(2000, pool, 4000, seed + trial)
+        else:
+            pool += [
+                gen.random_imopt_constraint(rng, rng.randint(1, 3), f"R{trial}c"),
+                make_table([Fraction(rng.randint(0, 5), rng.randint(1, 4))], f"R{trial}k"),
+            ]
+            inst = gen.random_instance(rng.randint(1, 12), pool, rng.randint(0, 20), seed + trial)
+        back = parse_instance(render_instance(inst))
+        ok &= back.num_vars == inst.num_vars
+        ok &= back.applications == inst.applications  # tables compare by weights
+        ok &= all(type(v) is int for _, vs in back.applications for v in vs)
+    out.append(CheckResult("instances", "rendered instances parse back to the same applications", ok))
     return out
 
 

@@ -3,8 +3,9 @@
 Subcommands: classify, classify-constraint, solve, reduce, rewrite, gen,
 eval, check. Global flags: --tol, --seed, --max-n, --exact, --machine.
 
-Exit codes: 0 success, 1 property failure, 2 usage or parse error. Machine
-mode prints one `key: value` pair per line with a stable key set.
+Exit codes: 0 success, 1 property failure, 2 usage or parse error or an
+input too large for memory. Machine mode prints one `key: value` pair per
+line with a stable key set.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def cmd_classify(args, config: RunConfig, constraint_detail: bool) -> int:
 def _solve_result_lines(result, config: RunConfig):
     decimal = frac_to_decimal_str(result.optimum)
     log2 = "ZERO" if result.is_zero else f"{result.log2:.12g}"
-    argmax = "".join(str(b) for b in result.argmax)
+    argmax = "".join(map(str, result.argmax))
     if config.machine:
         print(f"optimum: {format_fraction(result.optimum)}")
         print(f"decimal: {decimal}")
@@ -379,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ProdCspError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large for memory", file=sys.stderr)
         return 2
     return 0
 

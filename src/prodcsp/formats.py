@@ -20,11 +20,16 @@ Script files:
 
 Blank lines and '#' comments are ignored everywhere. The names EQ, XOR, OR,
 NAND, IMPLIES, D0, D1 are predefined and reserved.
+
+This module checks the syntax of every line, but not the applications:
+`CspInstance` (instances.py) owns that rule, and `parse_instance` only maps
+a refused application back to its line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import length_hint
 
 from .construct import ConstructionScript
 from .errors import ParseError
@@ -37,10 +42,10 @@ _RESERVED = set(BUILTINS)
 
 
 def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _weight(token: str, lineno: int) -> Fraction:
@@ -135,49 +140,95 @@ def render_constraint(table: ConstraintTable, name: str | None = None) -> str:
 
 
 def parse_instance(text: str) -> CspInstance:
-    """Parse an instance file (constraint blocks may be inlined)."""
+    """Parse an instance file (constraint blocks may be inlined).
+
+    The index tokens of each apply line go to CspInstance as read: it owns
+    the application rule (int indices in 1..N, one per table position) and
+    converts and checks each application once. When it refuses one, or a
+    later line fails to parse, the first refused application is reported at
+    its line (`_refused_application`); that search runs only on error.
+
+    An apply line is split only into its head, its name and the rest; each
+    rest is split into index tokens as CspInstance reads it, so no
+    per-application container outlives its conversion.
+    """
     acc = _ConstraintAccumulator()
+    known: dict[str, ConstraintTable] = {}  # apply name -> table
     num_vars: int | None = None
-    apps: list[tuple[ConstraintTable, tuple[int, ...]]] = []
-    last = 0
+    tables: list[ConstraintTable] = []  # per apply line: its table
+    indices: list[str] = []  # and its index tokens, unsplit
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            parts = line.split(None, 2)
+            if not parts:
+                continue
+            head = parts[0]
+            if head == "apply":
+                if acc.pending is not None:
+                    name, arity, _ = acc.pending
+                    raise ParseError(
+                        lineno,
+                        f"apply inside constraint {name}, which has "
+                        f"{len(acc.weights)} of its {1 << arity} weights",
+                    )
+                if num_vars is None:
+                    raise ParseError(lineno, "apply before vars line")
+                if len(parts) < 2:
+                    raise ParseError(lineno, "expected: apply <NAME> <i1> ... <ik>")
+                table = known.get(parts[1])
+                if table is None:
+                    table = known[parts[1]] = acc.lookup(parts[1], lineno)
+                tables.append(table)
+                indices.append(parts[2] if len(parts) == 3 else "")
+                continue
+            tokens = line.split()
+            if head == "constraint":
+                acc.start(tokens, lineno)
+            elif acc.feed(tokens, lineno):
+                pass
+            elif head == "vars":
+                if num_vars is not None:
+                    raise ParseError(lineno, "duplicate vars line")
+                num_vars = _int(tokens[1], lineno, "variable count") if len(tokens) == 2 else None
+                if num_vars is None or num_vars < 0:
+                    raise ParseError(lineno, "expected: vars <N>")
+            else:
+                raise ParseError(lineno, f"unknown directive {head!r}")
+        if acc.pending is not None or num_vars is None:
+            last = max((n for n, _ in _lines(text)), default=0)  # last nonblank line
+            acc.finish(last + 1)
+            raise ParseError(last + 1, "missing vars line")
+        return CspInstance(num_vars, zip(tables, map(str.split, indices)))
+    except ValueError:  # a ParseError, or CspInstance refusing an application
+        apps = list(zip(tables, map(str.split, indices)))
+        refused = _refused_application(text, apps, num_vars)
+        if refused is not None:
+            raise refused from None
+        raise
+
+
+def _refused_application(text: str, apps: list, num_vars: int | None) -> ParseError | None:
+    """The first application CspInstance refuses, as a ParseError at its
+    apply line; None if it refuses none. CspInstance checks applications in
+    order and stops at the first it refuses, and every parsed application
+    came from an apply line, in order: application k is on the k-th one."""
+    if not apps:
+        return None
+    rest = iter(apps)
+    try:
+        CspInstance(num_vars, rest)
+        return None
+    except ValueError as exc:
+        k = len(apps) - length_hint(rest) - 1
+        reason = str(exc)
     for lineno, tokens in _lines(text):
-        last = lineno
-        head = tokens[0]
-        if head == "constraint":
-            acc.start(tokens, lineno)
-            continue
-        if acc.feed(tokens, lineno):
-            continue
-        if head == "vars":
-            if num_vars is not None:
-                raise ParseError(lineno, "duplicate vars line")
-            num_vars = _int(tokens[1], lineno, "variable count") if len(tokens) == 2 else None
-            if num_vars is None or num_vars < 0:
-                raise ParseError(lineno, "expected: vars <N>")
-        elif head == "apply":
-            if num_vars is None:
-                raise ParseError(lineno, "apply before vars line")
-            if len(tokens) < 2:
-                raise ParseError(lineno, "expected: apply <NAME> <i1> ... <ik>")
-            table = acc.lookup(tokens[1], lineno)
-            try:
-                variables = tuple(map(int, tokens[2:]))
-            except ValueError:  # name the first bad token
-                variables = tuple(_int(t, lineno, "variable index") for t in tokens[2:])
-            if len(variables) != table.arity:
-                raise ParseError(
-                    lineno,
-                    f"{tokens[1]} has arity {table.arity}, got {len(variables)} indices",
-                )
-            if variables and (min(variables) < 1 or max(variables) > num_vars):
-                raise ParseError(lineno, f"variable index out of range 1..{num_vars}")
-            apps.append((table, variables))
-        else:
-            raise ParseError(lineno, f"unknown directive {head!r}")
-    acc.finish(last + 1)
-    if num_vars is None:
-        raise ParseError(last + 1, "missing vars line")
-    return CspInstance(num_vars, tuple(apps))
+        if tokens[0] == "apply":
+            if k == 0:
+                return ParseError(lineno, reason)
+            k -= 1
+    raise AssertionError("fewer apply lines than applications")
 
 
 def render_instance(inst: CspInstance) -> str:

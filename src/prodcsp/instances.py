@@ -6,6 +6,12 @@ Assignments are plain 0/1 tuples; position l holds the value of variable
 x_{l+1}. An assignment's integer encoding (x1 as the most significant bit)
 makes numeric order coincide with lexicographic order, which is the argmax
 tie-break everywhere.
+
+`CspInstance` owns the application rule: every index is an int in
+1..num_vars and each application has as many indices as its table's arity.
+It converts and checks each application once, on construction; the
+instance parser hands it the index tokens as read and maps a refusal back to
+its line only when one occurs.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArgumentError, ArityError, CapExceededError
@@ -26,12 +34,37 @@ DEFAULT_MAX_N = 24
 Application = tuple[ConstraintTable, tuple[int, ...]]
 
 
+class _Indices(dict):
+    """Variable index -> int, each distinct index converted and range-checked
+    on first sight. Keys are the indices as given (ints, or the tokens a
+    parser read), so the cache grows with the input, never with num_vars."""
+
+    __slots__ = ("num_vars",)
+
+    def __init__(self, num_vars: int):
+        super().__init__()
+        self.num_vars = num_vars
+
+    def __missing__(self, key) -> int:
+        try:
+            value = int(key)
+        except ValueError:
+            raise ArgumentError(f"bad variable index {key!r}") from None
+        if not 1 <= value <= self.num_vars:
+            raise ArgumentError(f"variable index {value} out of range 1..{self.num_vars}")
+        self[key] = value
+        return value
+
+
 @dataclass(frozen=True)
 class CspInstance:
     """A variable count plus an ordered multiset of constraint applications.
 
     Variable indices are 1-based; repeats inside one tuple are allowed (the
-    constraint then reads the same variable several times).
+    constraint then reads the same variable several times). Indices may be
+    given as any int-like values (including digit strings); they are stored
+    as tuples of ints. A wrong index count raises ArityError; an index
+    outside 1..num_vars, or one that is not int-like, raises ArgumentError.
     """
 
     num_vars: int
@@ -40,20 +73,17 @@ class CspInstance:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ArgumentError("variable count must be nonnegative")
+        index = _Indices(self.num_vars).__getitem__
         apps = []
+        append = apps.append
         for table, variables in self.applications:
-            variables = tuple(map(int, variables))
+            variables = tuple(map(index, variables))
             if len(variables) != table.arity:
                 raise ArityError(
                     f"{table.name or 'constraint'} has arity {table.arity}, "
                     f"applied to {len(variables)} variables"
                 )
-            if variables and (min(variables) < 1 or max(variables) > self.num_vars):
-                v = next(v for v in variables if not (1 <= v <= self.num_vars))
-                raise ArgumentError(
-                    f"variable index {v} out of range 1..{self.num_vars}"
-                )
-            apps.append((table, variables))
+            append((table, variables))
         object.__setattr__(self, "applications", tuple(apps))
 
     def tables(self) -> list[ConstraintTable]:
@@ -69,21 +99,32 @@ class CspInstance:
 
         Returns (object id -> name, name -> table). Unnamed tables get
         positional names; equal tables keep their own names, and a name clash
-        between unequal tables is uniquified.
+        between unequal tables is uniquified. Computed once per instance;
+        each call returns fresh dicts.
         """
+        names, chosen = self._named
+        return dict(names), dict(chosen)
+
+    @cached_property
+    def _named(self) -> tuple[dict[int, str], dict[str, ConstraintTable]]:
+        applied = list(map(itemgetter(0), self.applications))
         names: dict[int, str] = {}
         chosen: dict[str, ConstraintTable] = {}
-        pos = 0
-        for table, _ in self.applications:
-            if id(table) in names:
-                continue
-            pos += 1
+        # Distinct table objects in first-use order.
+        distinct = dict(zip(map(id, applied), applied)).values()
+        for pos, table in enumerate(distinct, start=1):
             name = table.name or f"c{pos}"
             while name in chosen and chosen[name] != table:
                 name += "x"
             chosen.setdefault(name, table)
             names[id(table)] = name
         return names, chosen
+
+    def __getstate__(self):
+        # The name cache is keyed by table ids, which a copy does not keep.
+        state = dict(self.__dict__)
+        state.pop("_named", None)
+        return state
 
 
 def assignment_to_int(bits: Sequence[int]) -> int:
@@ -104,19 +145,22 @@ def measure(inst: CspInstance, bits: Sequence[int]) -> Fraction:
         raise ArityError(
             f"assignment length {len(bits)} != variable count {inst.num_vars}"
         )
-    # Multiply numerators and denominators as ints; one Fraction at the end.
+    # bit[v] is variable v's value (bit[0] pads the 1-based indices). Multiply
+    # numerators and denominators as ints; one Fraction at the end.
+    bit = [0]
+    bit += [b & 1 for b in bits]
     num = den = 1
     for table, variables in inst.applications:
         idx = 0
         for v in variables:
-            idx = (idx << 1) | (bits[v - 1] & 1)
-        value = table.weights[idx]
-        if not value:
-            return Fraction(0)
-        if value.numerator != 1:
-            num *= value.numerator
-        if value.denominator != 1:
-            den *= value.denominator
+            idx = idx << 1 | bit[v]
+        n, d = table.weight_pairs[idx]
+        if n != 1:
+            if not n:
+                return Fraction(0)
+            num *= n
+        if d != 1:
+            den *= d
     return Fraction(num, den)
 
 

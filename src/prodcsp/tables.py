@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, ArityError, IndexRangeError
@@ -113,6 +114,12 @@ class ConstraintTable:
 
     def value_at(self, index: int) -> Fraction:
         return self.weights[index]
+
+    @cached_property
+    def weight_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each weight as its int (numerator, denominator), in table order;
+        read once per table, for loops that multiply many weights."""
+        return tuple((w.numerator, w.denominator) for w in self.weights)
 
     def support(self) -> Support:
         mask = 0

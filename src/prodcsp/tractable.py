@@ -14,7 +14,9 @@ lexicographically smallest maximizer, as everywhere else in the package.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter, xor
 from typing import Mapping, Optional
 
 from .errors import CertificateError, ProdCspError
@@ -22,6 +24,7 @@ from .instances import CspInstance, SolveResult, measure
 from .membership import EdCertificate, is_ed
 
 ONE = Fraction(1)
+GROUND = (0,)  # appended to an application's variables: pins link to node 0
 
 
 class ParityUnionFind:
@@ -83,12 +86,13 @@ def _zero_result(n: int) -> SolveResult:
     return SolveResult(Fraction(0), (0,) * n, "parity_components")
 
 
-def _plan(cert: EdCertificate):
-    """A certificate in integer form with 0-based positions: (pins, links with
+def _plan(cert: EdCertificate, arity: int):
+    """A certificate in integer form with 0-based positions: (links with
     parity 0/1, non-trivial unary pairs times the lcm of their denominators,
-    and scale, the product of those lcms)."""
-    pins = [(pos - 1, bit) for pos, bit in cert.pins]
-    links = [
+    and scale, the product of those lcms). A pin is a link to position
+    `arity`, which the solve loop points at the ground node 0."""
+    links = [(pos - 1, arity, bit) for pos, bit in cert.pins]
+    links += [
         (i - 1, j - 1, 0 if parity == "equal" else 1)
         for i, j, parity in cert.parity_links
     ]
@@ -100,7 +104,7 @@ def _plan(cert: EdCertificate):
         lcm = math.lcm(w0.denominator, w1.denominator)
         unaries.append((pos, int(w0 * lcm), int(w1 * lcm)))
         scale *= lcm
-    return pins, links, unaries, scale
+    return links, unaries, scale
 
 
 def solve_tractable(
@@ -117,15 +121,16 @@ def solve_tractable(
     is refused unless the explicit brute-force fallback is requested; a
     certificate that is not an ed certificate is refused always.
 
-    Each distinct table is planned once (`_plan`), and all weights are ints
-    until the optimum is built as constant * product / (product of scales).
+    Each distinct table is planned once (`_plan`) and its plan is found by
+    the table object; all weights are ints until the optimum is built as
+    constant * product / (product of scales).
     """
     n = inst.num_vars
     names, blocks = inst.named_tables()
-    plans = {}
+    by_name = {}
     for name, table in blocks.items():
         if table.arity == 0:
-            plans[name] = ((), (), (), 1)
+            by_name[name] = ((), (), 1)
             continue
         if name not in certs:
             if allow_brute_fallback:
@@ -140,58 +145,97 @@ def solve_tractable(
             raise CertificateError(f"certificate for {name!r} is not an ed certificate")
         if len(cert.unary_factors) != table.arity:
             raise CertificateError(f"certificate arity mismatch for {name!r}")
-        plans[name] = _plan(cert)
-    constant = math.prod(t.weights[0] for t, _ in inst.applications if t.arity == 0)
+        by_name[name] = _plan(cert, table.arity)
+    plans = {table_id: by_name[name] for table_id, name in names.items()}
+    # Per distinct table object: the arity-0 constant and the scale, raised to
+    # the table's number of applications.
+    uses = Counter(map(id, map(itemgetter(0), inst.applications)))
+    constant = ONE
+    denominator = 1
+    for table_id, count in uses.items():
+        name = names[table_id]
+        if blocks[name].arity == 0:
+            constant *= blocks[name].weights[0] ** count
+        denominator *= by_name[name][2] ** count
     if constant == 0:
         return _zero_result(n)
-    uf = ParityUnionFind(n + 1)  # node 0 is the grounded "false" reference
-    union = uf.union
-    weights = ([1] * (n + 1), [1] * (n + 1))  # per variable, at bit 0 and 1
-    denominator = 1
+    # A parity union-find over the variables and node 0, the grounded "false"
+    # reference (sigma(0) = 0); a pin is a link to node 0. The root-or-child
+    # case of find is inlined; deeper paths take ParityUnionFind.find.
+    uf = ParityUnionFind(n + 1)
+    parent, parity, rank, find = uf.parent, uf.parity, uf.rank, uf.find
+    # Per weighted variable: the product of its unary weights at 0 and at 1.
+    weight0: dict[int, int] = {}
+    weight1: dict[int, int] = {}
     for table, variables in inst.applications:
-        pins, links, unaries, scale = plans[names[id(table)]]
-        for pos, bit in pins:
-            if not union(variables[pos], 0, bit):
-                return _zero_result(n)
-        for i, j, parity in links:
-            if not union(variables[i], variables[j], parity):
-                return _zero_result(n)
+        links, unaries, _ = plans[id(table)]
+        if links:
+            variables += GROUND
+            for i, j, link_parity in links:
+                x = variables[i]
+                rx = parent[x]
+                if parent[rx] == rx:
+                    px = parity[x]
+                else:
+                    rx, px = find(x)
+                y = variables[j]
+                ry = parent[y]
+                if parent[ry] == ry:
+                    py = parity[y]
+                else:
+                    ry, py = find(y)
+                if rx == ry:
+                    if px ^ py != link_parity:
+                        return _zero_result(n)
+                    continue
+                if rank[rx] < rank[ry]:
+                    rx, ry = ry, rx
+                elif rank[rx] == rank[ry]:
+                    rank[rx] += 1
+                parent[ry] = rx
+                parity[ry] = px ^ py ^ link_parity
         for pos, a0, a1 in unaries:
-            weights[0][variables[pos]] *= a0
-            weights[1][variables[pos]] *= a1
-        if scale != 1:
-            denominator *= scale
-    # Aggregate per parity component: [value at root bit 0, at root bit 1,
-    # parity of the component's smallest-index variable]. sigma(ground)=0
-    # forces the ground component's root bit to ground_par.
-    found = [uf.find(var) for var in range(n + 1)]
-    ground_root, ground_par = found[0]
-    per_root: dict[int, list[int]] = {}
-    for var in range(1, n + 1):
-        root, par = found[var]  # the variable reads (root bit) xor par
-        w_t0, w_t1 = weights[par][var], weights[par ^ 1][var]
-        acc = per_root.get(root)
-        if acc is None:
-            per_root[root] = [w_t0, w_t1, par]
+            v = variables[pos]
+            if v in weight0:
+                weight0[v] *= a0
+                weight1[v] *= a1
+            else:
+                weight0[v] = a0
+                weight1[v] = a1
+    # Point every node straight at its root: parent[v] is then v's root and
+    # parity[v] its parity relative to that root (0 for a root).
+    for v, up in enumerate(parent):
+        if parent[up] != up:
+            find(v)
+    # Each root's bit defaults to the parity of its component's smallest
+    # node, which sets that node to 0: the tie rule, and for the ground
+    # component (whose smallest node is 0) the forced value.
+    root_bit = dict(zip(reversed(parent), reversed(parity)))
+    ground_root = parent[0]
+    value0: dict[int, int] = {}  # per weighted component's root: its value
+    value1: dict[int, int] = {}  # at root bit 0 and at root bit 1
+    for v, a0 in weight0.items():
+        a1 = weight1[v]
+        if parity[v]:
+            a0, a1 = a1, a0
+        root = parent[v]
+        if root in value0:
+            value0[root] *= a0
+            value1[root] *= a1
         else:
-            acc[0] *= w_t0
-            acc[1] *= w_t1
+            value0[root] = a0
+            value1[root] = a1
     product = 1
-    root_bit: dict[int, int] = {ground_root: ground_par}
-    for root, (v0, v1, first_par) in per_root.items():
-        if root == ground_root:
-            bit = ground_par
-        elif v0 == v1:
-            bit = first_par  # the smallest-index variable reads 0
-        else:
-            bit = int(v1 > v0)
-        value = v1 if bit else v0
+    for root, v0 in value0.items():
+        v1 = value1[root]
+        if root != ground_root and v0 != v1:
+            root_bit[root] = int(v1 > v0)
+        value = v1 if root_bit[root] else v0
         if value == 0:
             return _zero_result(n)
         product *= value
-        root_bit[root] = bit
     optimum = constant * Fraction(product, denominator)
-    argmax = tuple([root_bit[root] ^ par for root, par in found[1:]])
+    argmax = tuple(map(xor, map(root_bit.__getitem__, parent[1:]), parity[1:]))
     achieved = measure(inst, argmax)
     if achieved != optimum:
         raise ProdCspError(

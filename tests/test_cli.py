@@ -318,3 +318,14 @@ class TestTolAccepted:
         for tol in ("0", "-1"):
             code, _, err = run(capsys, "--tol", tol, "classify", str(path))
             assert code == 2 and "--tol must be positive" in err
+
+
+class TestHostileSize:
+    def test_variable_count_beyond_memory_exits_2(self, tmp_path, capsys):
+        # 10^15 variables: the solver's per-variable arrays are refused at
+        # allocation, before any memory is touched.
+        path = tmp_path / "i.txt"
+        path.write_text("vars 1000000000000000\napply EQ 1 2\n")
+        code, out, err = run(capsys, "--machine", "solve", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "memory" in err

@@ -1,5 +1,6 @@
 """Text formats: round trips and line-numbered errors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,71 @@ def test_assignment_parsing():
         parse_assignment("012", 3)
     with pytest.raises(ParseError):
         parse_assignment("01", 3)
+
+
+# A ~15 000-line instance with one faulty line (and, in the second test, a
+# different fault further down): the first faulty line must be reported.
+LARGE_N = 5000
+LARGE_LINES = 15_000
+FAULTS = ("out_of_range", "non_integer", "arity", "unknown_name", "apply_in_open_block",
+          "second_vars")
+
+
+def _large_instance_lines() -> list[str]:
+    rng = random.Random(17)
+    lines = [f"vars {LARGE_N}", "constraint U 1", "1 3/2"]
+    while len(lines) < LARGE_LINES:
+        name, arity = rng.choice((("EQ", 2), ("XOR", 2), ("U", 1), ("NAND", 2)))
+        idx = " ".join(str(rng.randint(1, LARGE_N)) for _ in range(arity))
+        lines.append(f"apply {name} {idx}")
+    return lines
+
+
+def _put_fault(lines: list[str], kind: str, lineno: int) -> None:
+    """Make line `lineno` (1-based) the faulty one."""
+    faulty = {
+        "out_of_range": f"apply EQ 1 {LARGE_N + 1}",
+        "non_integer": "apply EQ 1 two",
+        "arity": "apply EQ 1 2 3",
+        "unknown_name": "apply NOPE 1 2",
+        "apply_in_open_block": "apply XOR 3 4  # the block above has 2 of 4 weights",
+        "second_vars": f"vars {LARGE_N}",
+    }[kind]
+    lines[lineno - 1] = faulty
+    if kind == "apply_in_open_block":
+        lines[lineno - 3] = f"constraint Q{lineno} 2"
+        lines[lineno - 2] = "1 1"
+
+
+def _error_line(lines: list[str]) -> int:
+    with pytest.raises(ParseError) as info:
+        parse_instance("\n".join(lines) + "\n")
+    return info.value.line
+
+
+def test_large_instance_parses():
+    inst = parse_instance("\n".join(_large_instance_lines()) + "\n")
+    assert inst.num_vars == LARGE_N and len(inst.applications) == LARGE_LINES - 3
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_error_deep_in_a_large_file_reports_its_line(kind):
+    lines = _large_instance_lines()
+    _put_fault(lines, kind, 12_345)
+    assert _error_line(lines) == 12_345
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_first_faulty_line_wins_over_a_later_one(kind):
+    later = FAULTS[(FAULTS.index(kind) + 1) % len(FAULTS)]
+    lines = _large_instance_lines()
+    _put_fault(lines, kind, 7_001)
+    _put_fault(lines, later, 13_001)
+    assert _error_line(lines) == 7_001
+
+
+def test_comments_and_blank_lines_keep_line_numbers():
+    text = "# header\nvars 3\n\napply EQ 1 2  # a link\n   \napply XOR 2 9\n"
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line == 6 and "variable index 9 out of range 1..3" in str(info.value)

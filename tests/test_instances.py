@@ -1,5 +1,6 @@
 """Instance model, exhaustive solver, ratio rule, and generators."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -215,3 +216,44 @@ class TestCutWeighting:
     def test_optimum_matches_max_cut(self):
         g = GraphInstance("IS", 3, ((1, 2), (2, 3), (1, 3)), (F(1),) * 3)
         assert brute_force(cut_to_prod(g)).optimum == 4  # best cut has 2 edges
+
+
+class TestApplicationRule:
+    """CspInstance converts and checks every application itself."""
+
+    def test_arity_mismatch_raises_arity_error(self):
+        with pytest.raises(ArityError, match="EQ has arity 2, applied to 1"):
+            CspInstance(3, ((EQ, (1,)),))
+        with pytest.raises(ArityError):
+            CspInstance(3, ((EQ, (1, 2)), (D0, (1, 2))))
+
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_index_out_of_range_names_the_index(self, bad):
+        with pytest.raises(ArgumentError, match=f"variable index {bad} out of range 1..3"):
+            CspInstance(3, ((EQ, (1, 2)), (XOR, (2, bad))))
+
+    def test_non_integer_index_is_refused(self):
+        with pytest.raises(ArgumentError, match="bad variable index 'x'"):
+            CspInstance(3, ((EQ, ("1", "x")),))
+
+    def test_int_like_indices_become_int_tuples(self):
+        inst = CspInstance(3, [(EQ, [1, 2]), (XOR, ("3", "1")), (NAND, (True, F(3))),
+                               (D1, range(2, 3))])
+        assert [vs for _, vs in inst.applications] == [(1, 2), (3, 1), (1, 3), (2,)]
+        assert all(type(vs) is tuple for _, vs in inst.applications)
+        assert all(type(v) is int for _, vs in inst.applications for v in vs)
+        assert inst == CspInstance(3, ((EQ, (1, 2)), (XOR, (3, 1)), (NAND, (1, 3)), (D1, (2,))))
+
+    def test_negative_variable_count_is_refused(self):
+        with pytest.raises(ArgumentError):
+            CspInstance(-1, ())
+
+    def test_table_names_survive_a_deep_copy(self):
+        # named_tables is cached per instance and keyed by table ids; a copy
+        # has new tables and must name them afresh.
+        inst = ed_example()
+        names, _ = inst.named_tables()
+        clone = copy.deepcopy(inst)
+        clone_names, _ = clone.named_tables()
+        assert sorted(clone_names.values()) == sorted(names.values())
+        assert set(clone_names) == {id(t) for t, _ in clone.applications}

@@ -147,3 +147,71 @@ def test_find_compresses_long_chains():
     assert uf.find(size - 1) == (0, (size - 1) % 2)
     assert uf.parent[size - 1] == 0 and uf.parent[size // 2] == 0
     assert uf.find(size // 2) == (0, (size // 2) % 2)
+
+
+# Pins and parity links go through one union loop (a pin is a link to the
+# ground node). PL = [x1 = 1] * [x2 = x3] with weights on x2 x3: its
+# certificate has a pin on position 1 and a link between positions 2 and 3.
+PL = make_table([0, 0, 0, 0, 2, 0, 0, F(1, 3)], "PL")
+PIN2 = make_table([0, 0, 3, 0], "PIN2")  # pins x1 = 1 and x2 = 0, weight 3
+
+
+def _check_one(inst: CspInstance):
+    certs = certify_instance(inst)
+    assert certs is not None
+    fast = solve_tractable(inst, certs)
+    slow = brute_force(inst)
+    assert (fast.optimum, fast.argmax) == (slow.optimum, slow.argmax), inst
+    return fast
+
+
+def test_pin_and_link_on_one_variable_in_one_application():
+    cert = certify_instance(CspInstance(3, ((PL, (1, 2, 3)),)))["PL"]
+    assert cert.pins and cert.parity_links
+    # (v, v, w): the pin and the link both read v.
+    assert _check_one(CspInstance(2, ((PL, (1, 1, 2)),))).optimum == F(1, 3)
+    assert _check_one(CspInstance(2, ((PL, (1, 1, 2)), (D0, (2,))))).optimum == 0
+    assert _check_one(CspInstance(3, ((PL, (2, 2, 1)), (XOR, (1, 3))))).argmax == (1, 1, 0)
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        apps = []
+        for _ in range(rng.randint(1, 2 * n)):
+            table = rng.choice((PL, PL, EQ, XOR, THIRDS[2]))
+            apps.append((table, tuple(rng.randint(1, n) for _ in range(table.arity))))
+        _check_one(CspInstance(n, tuple(apps)))
+
+
+def test_repeated_variable_with_an_odd_self_link_has_optimum_zero():
+    result = _check_one(CspInstance(3, ((THIRDS[2], (1,)), (XOR, (2, 2)), (EQ, (1, 3)))))
+    assert result.optimum == 0 and result.argmax == (0, 0, 0)
+    # An even self-link constrains nothing.
+    assert _check_one(CspInstance(2, ((EQ, (2, 2)), (THIRDS[2], (2,))))).optimum == 3
+
+
+def test_d0_and_d1_on_one_variable():
+    for apps in (((D0, (2,)), (D1, (2,))), ((D1, (1,)), (EQ, (1, 2)), (D0, (2,)))):
+        result = _check_one(CspInstance(3, apps))
+        assert result.optimum == 0 and result.argmax == (0, 0, 0)
+
+
+def test_pin_only_tables():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        apps = []
+        for _ in range(rng.randint(0, 2 * n)):
+            table = rng.choice((D0, D1, PIN2, THIRDS[3]))
+            apps.append((table, tuple(rng.randint(1, n) for _ in range(table.arity))))
+        _check_one(CspInstance(n, tuple(apps)))
+    assert _check_one(CspInstance(3, ((PIN2, (3, 1)), (D1, (2,))))).argmax == (0, 1, 1)
+
+
+def test_long_xor_chain_through_the_solver():
+    n = 50_000
+    apps = [(XOR, (v, v + 1)) for v in range(n - 1, 0, -1)]
+    apps += [(D0, (1,)), (THIRDS[2], (n,))]  # x1 = 0; x_n prefers 1
+    inst = CspInstance(n, tuple(apps))
+    result = solve_tractable(inst, certify_instance(inst))
+    assert result.optimum == 3
+    assert result.argmax == tuple(1 - v % 2 for v in range(1, n + 1))
