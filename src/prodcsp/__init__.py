@@ -3,8 +3,8 @@
 Exact-rational weighted constraint tables with the seven constructibility
 operations, structural class deciders with machine-checkable certificates,
 the three-way tractability classifier, exact solvers (exhaustive and
-parity-component), the named graph problems, and executable
-approximation-preserving reductions between them.
+parity-component) behind one dispatch (`solve`), the named graph problems,
+and executable approximation-preserving reductions between them.
 """
 
 from .construct import ConstructionScript, replay
@@ -24,7 +24,6 @@ from .instances import (
     Assignment,
     CspInstance,
     SolveResult,
-    approx_scheme,
     brute_force,
     check_ratio,
     hill_climb,
@@ -76,6 +75,7 @@ from .reductions import (
     rewrite_by_construction,
     solve_via_flow,
 )
+from .routes import approx_scheme, solve
 from .tables import (
     BUILTINS,
     D0,

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gen, reductions
+from . import gen, reductions, routes
 from .construct import ConstructionScript, replay
 from .graphs import graph_brute_force, graph_measure
 from .instances import (
@@ -37,7 +37,6 @@ from .oracles import (
 )
 from .tables import BUILTINS, ConstraintTable, EQ, XOR, make_table
 from .formats import parse_constraints, parse_instance, render_constraint, render_instance
-from .tractable import certify_instance, solve_tractable
 from .trichotomy import Category, classify_set
 
 ONE = Fraction(1)
@@ -291,8 +290,7 @@ def suite_instances(seed: int = 0) -> list[CheckResult]:
             XOR,
         ]
         inst = gen.random_instance(rng.randint(1, 8), pool, rng.randint(0, 10), seed + trial)
-        certs = certify_instance(inst)
-        got = solve_tractable(inst, certs)
+        got = routes.solve(inst, "tractable")
         want = brute_force(inst)
         ok &= got.optimum == want.optimum
         ok &= got.argmax == want.argmax

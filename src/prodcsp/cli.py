@@ -3,6 +3,8 @@
 Subcommands: classify, classify-constraint, solve, reduce, rewrite, gen,
 eval, check. Global flags: --tol, --seed, --max-n, --exact, --machine.
 
+`solve` hands the parsed instance to `routes.solve`, which picks the route.
+
 Exit codes: 0 success, 1 property failure, 2 usage or parse error or an
 input too large for memory. Machine mode prints one `key: value` pair per
 line with a stable key set.
@@ -15,8 +17,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import checks, gen, reductions
-from .errors import ParseError, ProdCspError
+from . import checks, gen, reductions, routes
+from .errors import ProdCspError
 from .formats import (
     parse_assignment,
     parse_constraints,
@@ -27,7 +29,7 @@ from .formats import (
     render_instance,
 )
 from .graphs import graph_measure
-from .instances import brute_force, hill_climb, measure
+from .instances import measure
 from .membership import (
     AfCertificate,
     DegenerateCertificate,
@@ -36,7 +38,6 @@ from .membership import (
 )
 from .ratmath import format_fraction, frac_to_decimal_str
 from .tables import BUILTINS
-from .tractable import certify_instance, solve_tractable
 from .trichotomy import classify_set, explain
 
 
@@ -134,28 +135,8 @@ def _solve_result_lines(result, config: RunConfig):
 
 def cmd_solve(args, config: RunConfig) -> int:
     inst = parse_instance(_read(args.file))
-    method = args.method
-    if method in ("auto", "tractable"):
-        certs = certify_instance(inst)
-        if certs is None and method == "tractable":
-            print("error: some applied constraint has no ed certificate", file=sys.stderr)
-            return 2
-        method = "tractable" if certs is not None else "brute"
-    if method == "tractable":
-        result = solve_tractable(inst, certs)
-    elif method == "brute":
-        result = brute_force(inst, max_n=config.max_n)
-    elif method == "hill":
-        if config.exact_only:
-            print("error: --exact forbids the hill-climb method", file=sys.stderr)
-            return 2
-        bits = hill_climb(inst, seed=config.seed, restarts=args.restarts)
-        value = measure(inst, bits)
-        from .instances import SolveResult
-
-        result = SolveResult(value, bits, "external")
-    else:
-        raise ProdCspError(f"unknown method {method!r}")
+    result = routes.solve(inst, args.method, max_n=config.max_n, seed=config.seed,
+                          restarts=args.restarts, exact_only=config.exact_only)
     _solve_result_lines(result, config)
     return 0
 
@@ -193,7 +174,7 @@ def cmd_rewrite(args, config: RunConfig) -> int:
         return 2
     inst = parse_instance(_read(args.file))
     script = parse_script(_read(args.script))
-    pool = {t.name: t for t in inst.tables() if t.name}
+    _, pool = inst.named_tables()
     if args.target in pool:
         target = pool[args.target]
     elif args.target in BUILTINS:
@@ -307,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", help="optimize an instance file")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "brute", "tractable", "hill"), default="auto")
-    p.add_argument("--eps", type=float, default=0.5, help="accepted and ignored by every method")
     p.add_argument("--restarts", type=int, default=8)
 
     p = command("reduce", help="apply an instance transform")
@@ -375,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(args, config)
         parser.error(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ProdCspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

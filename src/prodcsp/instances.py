@@ -1,6 +1,6 @@
 """Product-measured CSP instances: the measure, the exhaustive solver used as
-the correctness oracle everywhere, the approximation harness, and the ratio
-check with its zero rule.
+the correctness oracle everywhere, the hill-climb local search, and the ratio
+check with its zero rule. Which solver a call takes is chosen in `routes`.
 
 Assignments are plain 0/1 tuples; position l holds the value of variable
 x_{l+1}. An assignment's integer encoding (x1 as the most significant bit)
@@ -85,14 +85,6 @@ class CspInstance:
                 )
             append((table, variables))
         object.__setattr__(self, "applications", tuple(apps))
-
-    def tables(self) -> list[ConstraintTable]:
-        """Distinct applied tables, in first-use order."""
-        seen = []
-        for table, _ in self.applications:
-            if table not in seen:
-                seen.append(table)
-        return seen
 
     def named_tables(self) -> tuple[dict[int, str], dict[str, ConstraintTable]]:
         """A stable name per applied table object.
@@ -303,24 +295,3 @@ def hill_climb(
             best_value, best_bits = value, tuple(bits)
     return best_bits
 
-
-def approx_scheme(
-    inst: CspInstance,
-    eps: Fraction | float,
-    strategy: str = "exact",
-    seed: int = 0,
-    restarts: int = 8,
-    max_n: int = DEFAULT_MAX_N,
-) -> Assignment:
-    """Randomized-approximation-scheme harness.
-
-    The exact strategy always meets the 2^eps bound; hill_climb is a
-    best-effort exerciser for the harness with no guarantee.
-    """
-    if not (0 < eps < 1):
-        raise ArgumentError(f"error tolerance must lie in (0,1), got {eps}")
-    if strategy == "exact":
-        return brute_force(inst, max_n=max_n).argmax
-    if strategy in ("hill", "hill_climb"):
-        return hill_climb(inst, seed=seed, restarts=restarts)
-    raise ArgumentError(f"unknown strategy {strategy!r}")

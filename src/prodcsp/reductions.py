@@ -13,8 +13,9 @@ from typing import Callable, Mapping, Optional, Sequence
 from .construct import ConstructionScript, replay
 from .errors import ArgumentError, CertificateError, ReductionError
 from .graphs import GraphInstance, graph_brute_force
-from .instances import Assignment, CspInstance, brute_force, measure
+from .instances import Assignment, CspInstance, measure
 from .membership import ImOptCertificate, is_imopt
+from .routes import solve
 from .tables import BUILTINS, ConstraintTable, D0, D1, NAND, IMPLIES, make_table
 
 ONE = Fraction(1)
@@ -494,7 +495,7 @@ def apt_wrap(
 
 
 def exact_csp_scheme(inst: CspInstance, delta: float) -> Assignment:
-    return brute_force(inst).argmax
+    return solve(inst).argmax
 
 
 def exact_flow_scheme(g: GraphInstance, delta: float) -> Assignment:

@@ -9,6 +9,7 @@ parity component contributes independently the larger of its two aggregate
 weights, so only linearly many candidate solutions are ever examined. A tie
 sets the component's smallest-index variable to 0: the argmax is the
 lexicographically smallest maximizer, as everywhere else in the package.
+Whether an instance takes this route is decided in `routes.solve`.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def solve_tractable(
     optimum 0 with the all-zeros assignment. When a component's two choices
     tie, it takes the one that sets its smallest-index variable to 0, so the
     argmax is the lexicographically smallest maximizer. A missing certificate
-    is refused unless the explicit brute-force fallback is requested; a
-    certificate that is not an ed certificate is refused always.
+    is refused unless the explicit brute-force fallback is requested (which
+    routes.solve never does); a non-ed certificate is refused always.
 
     Each distinct table is planned once (`_plan`) and its plan is found by
     the table object; all weights are ints until the optimum is built as

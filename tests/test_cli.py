@@ -159,6 +159,21 @@ class TestReduceAndRewrite:
         code, out, _ = run(capsys, "solve", str(out_file), "--method", "brute")
         assert code == 0 and "optimum 1" in out
 
+    def test_rewrite_target_equal_to_an_earlier_table(self, tmp_path, capsys):
+        # A and B are equal tables under two names: B must still be a target.
+        inst = tmp_path / "i.txt"
+        inst.write_text(
+            "vars 3\nconstraint A 2\n1 2 3 4\nconstraint B 2\n1 2 3 4\n"
+            "apply A 1 2\napply B 2 3\n"
+        )
+        script = tmp_path / "s.txt"
+        script.write_text("from B\n")
+        code, out, err = run(
+            capsys, "rewrite", str(inst), "--script", str(script), "--target", "B"
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("# rewrote 2 applications of B;")
+
 
 class TestGenEvalCheck:
     def test_gen_is_deterministic_bytes(self, tmp_path, capsys):
@@ -282,16 +297,16 @@ class TestLongOptimum:
 
 class TestSolveCertifiesOnce:
     def test_auto_and_tractable_certify_once(self, tmp_path, capsys, monkeypatch):
-        import prodcsp.cli as cli
+        import prodcsp.routes as routes
 
         calls = []
-        real = cli.certify_instance
+        real = routes.certify_instance
 
         def counting(inst):
             calls.append(inst)
             return real(inst)
 
-        monkeypatch.setattr(cli, "certify_instance", counting)
+        monkeypatch.setattr(routes, "certify_instance", counting)
         path = tmp_path / "i.txt"
         path.write_text(INSTANCE)
         for method in ("auto", "tractable"):
