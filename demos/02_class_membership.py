@@ -1,7 +1,8 @@
 """Structural classes of weighted constraints, with certificates.
 
 Five classes drive everything downstream:
-  degenerate (DG)  products of unary factors
+  degenerate (DG)  products of unary factors: the ED members with no
+                   parity link, read off the ED certificate
   ED               unary factors + equality/disequality links
   AF               a degenerate part times binary affine relations
                    through one pivot variable: the ED members with at most

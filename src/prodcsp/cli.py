@@ -30,12 +30,7 @@ from .formats import (
 )
 from .graphs import graph_measure
 from .instances import measure
-from .membership import (
-    AfCertificate,
-    DegenerateCertificate,
-    EdCertificate,
-    ImOptCertificate,
-)
+from .membership import AfCertificate, EdCertificate, ImOptCertificate
 from .ratmath import format_fraction, frac_to_decimal_str
 from .tables import BUILTINS
 from .trichotomy import classify_set, explain
@@ -67,10 +62,9 @@ def _write_out(text: str, out: str | None):
 
 def _render_certificate(name: str, label: str, cert) -> str:
     lines = [f"# {label} factorization of {name}"]
-    if isinstance(cert, (DegenerateCertificate, EdCertificate, AfCertificate, ImOptCertificate)):
-        for pos, (w0, w1) in enumerate(cert.unary_factors, start=1):
-            lines.append(f"constraint {name}.u{pos} 1  # unary factor on x{pos}")
-            lines.append(f"{format_fraction(w0)} {format_fraction(w1)}")
+    for pos, (w0, w1) in enumerate(cert.unary_factors, start=1):
+        lines.append(f"constraint {name}.u{pos} 1  # unary factor on x{pos}")
+        lines.append(f"{format_fraction(w0)} {format_fraction(w1)}")
     if isinstance(cert, EdCertificate):
         for var, bit in cert.pins:
             lines.append(f"# pin x{var} = {bit}")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import ArgumentError, ArityError, CapExceededError
 from .ratmath import frac_log2
-from .tables import ConstraintTable
+from .tables import ConstraintTable, bits_to_index, index_to_bits
 
 Assignment = tuple[int, ...]
 
@@ -119,15 +119,9 @@ class CspInstance:
         return state
 
 
-def assignment_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
-
-
-def int_to_assignment(value: int, n: int) -> Assignment:
-    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+# Assignments index like table rows: x1 is the most significant bit.
+assignment_to_int = bits_to_index
+int_to_assignment = index_to_bits
 
 
 def measure(inst: CspInstance, bits: Sequence[int]) -> Fraction:
@@ -290,7 +284,7 @@ def hill_climb(
                 else:
                     bits[i] ^= 1
         if value > best_value or (
-            value == best_value and assignment_to_int(bits) < assignment_to_int(best_bits)
+            value == best_value and tuple(bits) < best_bits
         ):
             best_value, best_bits = value, tuple(bits)
     return best_bits

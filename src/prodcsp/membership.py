@@ -2,7 +2,8 @@
 classes of weighted Boolean constraints:
 
 - nonzero:     every output is positive
-- degenerate:  a product of unary factors on distinct variables
+- degenerate:  a product of unary factors on distinct variables; read off
+               the ed certificate, as the ed members with no parity link
 - ed:          a product of unary factors, binary equalities, and binary
                disequalities (parity links)
 - af:          a degenerate part times a star of binary affine relations
@@ -30,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .construct import ConstructionScript
 from .errors import ArgumentError, DomainError
@@ -221,16 +222,24 @@ def _parity_pairs(arity: int, mask: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _parity_rebuild(arity: int, mask: int) -> int:
-    pins = _pins_of(arity, mask)
-    links = _parity_pairs(arity, mask)
-    rebuilt = 0
-    for idx in range(1 << arity):
-        if all(_bit(idx, v, arity) == c for v, c in pins) and all(
-            (_bit(idx, i, arity) ^ _bit(idx, j, arity)) == p for i, j, p in links
-        ):
-            rebuilt |= 1 << idx
-    return rebuilt
+def _parity_components(arity: int, mask: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The unpinned variables grouped by constant XOR (nonempty support only):
+    one tuple per component of (variable, parity to the representative), the
+    representative (smallest index, parity 0) first.
+
+    Constant XOR is an equivalence, so `_parity_pairs` holds every pair of a
+    component, and a variable's first partner there is its representative.
+    """
+    rep: dict[int, tuple[int, int]] = {}
+    for i, j, p in _parity_pairs(arity, mask):
+        rep.setdefault(j, (i, p))
+    pinned = {v for v, _ in _pins_of(arity, mask)}
+    comps: dict[int, list[tuple[int, int]]] = {}
+    for v in range(1, arity + 1):
+        if v not in pinned:
+            r, p = rep.get(v, (v, 0))
+            comps.setdefault(r, []).append((v, p))
+    return tuple(tuple(comp) for comp in comps.values())
 
 
 @lru_cache(maxsize=None)
@@ -279,43 +288,8 @@ def has_imp_support(table: ConstraintTable) -> bool:
 # unary-product factorization over a structured support
 
 
-def _components_from_links(
-    arity: int, pinned: set[int], links: Iterable[tuple[int, int, int]]
-) -> list[list[tuple[int, int]]]:
-    """Group unpinned variables into parity components.
-
-    Returns one list per component of (variable, parity-to-representative),
-    the representative (smallest index, parity 0) first.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {
-        v: [] for v in range(1, arity + 1) if v not in pinned
-    }
-    for i, j, p in links:
-        adj[i].append((j, p))
-        adj[j].append((i, p))
-    seen: set[int] = set()
-    comps = []
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = [(v, 0)]
-        seen.add(v)
-        queue = [(v, 0)]
-        while queue:
-            u, pu = queue.pop()
-            for w, p in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append((w, pu ^ p))
-                    queue.append((w, pu ^ p))
-        comps.append(comp)
-    return comps
-
-
 def _factor_over_components(
-    table: ConstraintTable,
-    pins: tuple[tuple[int, int], ...],
-    comps: list[list[tuple[int, int]]],
+    table: ConstraintTable, comps: tuple[tuple[tuple[int, int], ...], ...]
 ) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
     """Try to factor f over its support as constant x product of one unary
     weight per component. Exact; returns per-variable factors or None.
@@ -362,68 +336,62 @@ def is_nonzero(table: ConstraintTable) -> bool:
     return all(w > 0 for w in table.weights)
 
 
-def _dg_factor_list(
-    weights: tuple[Fraction, ...], k: int
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    if k == 1:
-        return [(weights[0], weights[1])]
-    half = 1 << (k - 1)
-    lo, hi = weights[:half], weights[half:]
-    lo_zero = all(w == 0 for w in lo)
-    hi_zero = all(w == 0 for w in hi)
-    if lo_zero and hi_zero:
-        return [(ZERO, ZERO)] + [(ONE, ONE)] * (k - 1)
-    if lo_zero:
-        sub = _dg_factor_list(hi, k - 1)
-        return None if sub is None else [(ZERO, ONE)] + sub
-    if hi_zero:
-        sub = _dg_factor_list(lo, k - 1)
-        return None if sub is None else [(ONE, ZERO)] + sub
-    pivot = next(t for t in range(half) if lo[t] != 0)
-    rho = hi[pivot] / lo[pivot]
-    if any(hi[t] != rho * lo[t] for t in range(half)):
-        return None
-    sub = _dg_factor_list(lo, k - 1)
-    return None if sub is None else [(ONE, rho)] + sub
-
-
-def is_degenerate(table: ConstraintTable) -> Optional[DegenerateCertificate]:
-    """Recursive half-table proportionality; one unary factor per variable."""
-    if table.arity == 0:
-        return DegenerateCertificate(()) if table.weights[0] == 1 else None
-    factors = _dg_factor_list(table.weights, table.arity)
-    return None if factors is None else DegenerateCertificate(tuple(factors))
-
-
 def _all_zero_factors(arity: int) -> tuple[tuple[Fraction, Fraction], ...]:
     return ((ZERO, ZERO),) + ((ONE, ONE),) * (arity - 1)
 
 
 def is_ed(table: ConstraintTable) -> Optional[EdCertificate]:
-    """Pins + pairwise parity links must rebuild the support exactly, and the
-    values on the support must factor into per-component unary weights."""
+    """The support must be exactly the solutions of its own pins and parity
+    links, and the values on it must factor into per-component unary weights.
+
+    The derived pins and links hold on the support and have 2^(components)
+    solutions, so the support is theirs exactly when it has that many points.
+    """
     k = table.arity
     if k == 0:
         return EdCertificate((), frozenset(), ()) if table.weights[0] == 1 else None
     mask = table.support().mask
     if mask == 0:
         return EdCertificate((), frozenset(), _all_zero_factors(k))
-    if not _affine_mask(k, mask):
+    comps = _parity_components(k, mask)
+    if mask.bit_count() != 1 << len(comps):
         return None
-    if _parity_rebuild(k, mask) != mask:
-        return None
-    pins = _pins_of(k, mask)
-    links = _parity_pairs(k, mask)
-    comps = _components_from_links(k, {v for v, _ in pins}, links)
-    factors = _factor_over_components(table, pins, comps)
+    factors = _factor_over_components(table, comps)
     if factors is None:
         return None
-    span_links = set()
-    for comp in comps:
-        rep, _ = comp[0]
-        for v, p in comp[1:]:
-            span_links.add((rep, v, "equal" if p == 0 else "unequal"))
-    return EdCertificate(pins, frozenset(span_links), factors)
+    links = frozenset(
+        (comp[0][0], v, "equal" if p == 0 else "unequal")
+        for comp in comps
+        for v, p in comp[1:]
+    )
+    return EdCertificate(_pins_of(k, mask), links, factors)
+
+
+def _pins_as_zeros(ed: EdCertificate) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The ED certificate's unary factors with each pin as a zero entry."""
+    factors = list(ed.unary_factors)
+    for v, c in ed.pins:
+        u = factors[v - 1]
+        factors[v - 1] = (u[0], ZERO) if c == 0 else (ZERO, u[1])
+    return tuple(factors)
+
+
+def _dg_from_ed(ed: Optional[EdCertificate]) -> Optional[DegenerateCertificate]:
+    """The DG certificate carried by an ED certificate, or None.
+
+    A product of unaries has a product support, where no two free variables
+    have a constant XOR, while pins times unaries is always a product: the
+    DG members are exactly the ED members with no parity link.
+    """
+    if ed is None or ed.parity_links:
+        return None
+    return DegenerateCertificate(_pins_as_zeros(ed))
+
+
+def is_degenerate(table: ConstraintTable) -> Optional[DegenerateCertificate]:
+    """One unary factor per variable, read off the ED certificate (see
+    `_dg_from_ed`)."""
+    return _dg_from_ed(is_ed(table))
 
 
 _EQUAL = frozenset([(0, 0), (1, 1)])
@@ -450,11 +418,7 @@ def _af_from_ed(ed: Optional[EdCertificate]) -> Optional[AfCertificate]:
         (j, _EQUAL if parity == "equal" else _UNEQUAL)
         for _, j, parity in sorted(ed.parity_links)
     )
-    factors = list(ed.unary_factors)
-    for v, c in ed.pins:
-        u = factors[v - 1]
-        factors[v - 1] = (u[0], ZERO) if c == 0 else (ZERO, u[1])
-    return AfCertificate(pivot, relations, tuple(factors))
+    return AfCertificate(pivot, relations, _pins_as_zeros(ed))
 
 
 def is_af(table: ConstraintTable) -> Optional[AfCertificate]:
@@ -722,7 +686,7 @@ def memberships(
     table: ConstraintTable,
 ) -> tuple[frozenset[str], dict[str, Certificate]]:
     """All class memberships of one constraint, with certificates where the
-    class carries one; AF comes from the ED certificate, not a second pass."""
+    class carries one; DG and AF come from the ED certificate, not more passes."""
     members: set[str] = set()
     certs: dict[str, Certificate] = {}
     if is_nonzero(table):
@@ -733,7 +697,7 @@ def memberships(
         members.add("imp_support")
     ed = is_ed(table)
     for label, cert in (
-        ("DG", is_degenerate(table)),
+        ("DG", _dg_from_ed(ed)),
         ("ED", ed),
         ("AF", _af_from_ed(ed)),
         ("IM_opt", is_imopt(table)),

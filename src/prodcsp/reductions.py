@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .construct import ConstructionScript, replay
+from .construct import ConstructionScript, _lookup, replay
 from .errors import ArgumentError, CertificateError, ReductionError
 from .graphs import GraphInstance, graph_brute_force
 from .instances import Assignment, CspInstance, measure
 from .membership import ImOptCertificate, is_imopt
 from .routes import solve
-from .tables import BUILTINS, ConstraintTable, D0, D1, NAND, IMPLIES, make_table
+from .tables import ConstraintTable, D0, D1, NAND, IMPLIES, make_table
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -301,15 +301,7 @@ def compile_script(
     merge slots, expansion inserts unused slots, and maximization moves
     trailing slots into the auxiliary set.
     """
-
-    def lookup(name: str) -> ConstraintTable:
-        if tables and name in tables:
-            return tables[name]
-        if name in BUILTINS:
-            return BUILTINS[name]
-        raise ArgumentError(f"unknown source constraint {name!r}")
-
-    src = lookup(script.source)
+    src = _lookup(script.source, tables)
     next_slot = src.arity
     free = list(range(src.arity))
     aux: list[int] = []
@@ -339,7 +331,7 @@ def compile_script(
             free.insert(step[1], next_slot)
             next_slot += 1
         elif op == "mul":
-            other = lookup(step[1])
+            other = _lookup(step[1], tables)
             if other.arity != len(free):
                 raise ArgumentError(
                     f"mul {step[1]}: arity {other.arity} != current arity {len(free)}"
