@@ -93,4 +93,4 @@ from .tables import (
 from .tractable import ParityUnionFind, certify_instance, solve_tractable
 from .trichotomy import Category, ClassReport, classify_set, explain
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

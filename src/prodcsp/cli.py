@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: classify, classify-constraint, solve, reduce, rewrite, gen,
-eval, check. Global flags: --tol, --seed, --max-n, --exact, --machine.
+eval, check. Global flags: --seed, --max-n, --exact, --machine.
 
 `solve` hands the parsed instance to `routes.solve`, which picks the route.
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import checks, gen, reductions, routes
@@ -29,19 +28,11 @@ from .formats import (
     render_instance,
 )
 from .graphs import graph_measure
-from .instances import measure
+from .instances import DEFAULT_MAX_N, measure
 from .membership import AfCertificate, EdCertificate, ImOptCertificate
 from .ratmath import format_fraction, frac_to_decimal_str
 from .tables import BUILTINS
 from .trichotomy import classify_set, explain
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    max_n: int = 24
-    exact_only: bool = False
-    machine: bool = False
 
 
 def _read(path: str) -> str:
@@ -85,13 +76,13 @@ def _render_certificate(name: str, label: str, cert) -> str:
     return "\n".join(lines)
 
 
-def cmd_classify(args, config: RunConfig, constraint_detail: bool) -> int:
+def cmd_classify(args) -> int:
     tables = parse_constraints(_read(args.file))
     if not tables:
         print("error: no constraints in input", file=sys.stderr)
         return 2
     report = classify_set(list(tables.values()))
-    if config.machine:
+    if args.machine:
         for r in report.per_constraint:
             classes = ",".join(sorted(r.classes))
             print(f"constraint.{r.name}.classes: {classes}")
@@ -99,7 +90,7 @@ def cmd_classify(args, config: RunConfig, constraint_detail: bool) -> int:
             print(f"witness.{label}: {name}")
         print(f"category: {report.category.value}")
         return 0
-    if constraint_detail:
+    if args.command == "classify-constraint":
         for r in report.per_constraint:
             verdicts = ", ".join(sorted(r.classes)) or "none"
             print(f"{r.name}: {verdicts}")
@@ -111,11 +102,14 @@ def cmd_classify(args, config: RunConfig, constraint_detail: bool) -> int:
     return 0
 
 
-def _solve_result_lines(result, config: RunConfig):
+def cmd_solve(args) -> int:
+    inst = parse_instance(_read(args.file))
+    result = routes.solve(inst, args.method, max_n=args.max_n, seed=args.seed,
+                          restarts=args.restarts, exact_only=args.exact)
     decimal = frac_to_decimal_str(result.optimum)
     log2 = "ZERO" if result.is_zero else f"{result.log2:.12g}"
     argmax = "".join(map(str, result.argmax))
-    if config.machine:
+    if args.machine:
         print(f"optimum: {format_fraction(result.optimum)}")
         print(f"decimal: {decimal}")
         print(f"log2: {log2}")
@@ -125,17 +119,10 @@ def _solve_result_lines(result, config: RunConfig):
         print(f"optimum {format_fraction(result.optimum)} (= {decimal}, log2 {log2})")
         print(f"argmax {argmax}")
         print(f"method {result.method}")
-
-
-def cmd_solve(args, config: RunConfig) -> int:
-    inst = parse_instance(_read(args.file))
-    result = routes.solve(inst, args.method, max_n=config.max_n, seed=config.seed,
-                          restarts=args.restarts, exact_only=config.exact_only)
-    _solve_result_lines(result, config)
     return 0
 
 
-def cmd_reduce(args, config: RunConfig) -> int:
+def cmd_reduce(args) -> int:
     mode = args.mode
     if mode == "is2csp":
         out = render_instance(reductions.is_to_csp(parse_graph(_read(args.file))))
@@ -143,7 +130,7 @@ def cmd_reduce(args, config: RunConfig) -> int:
         out = render_instance(reductions.complement_all(parse_instance(_read(args.file))))
     elif mode == "bis2csp":
         out = render_instance(reductions.bis_to_implies(parse_graph(_read(args.file))))
-    elif mode == "csp2flow":
+    else:  # csp2flow
         red = reductions.imopt_to_flow(parse_instance(_read(args.file)))
         if red.trivially_zero:
             out = "# contradictory pins: optimum 0 without a flow instance\n"
@@ -154,18 +141,11 @@ def cmd_reduce(args, config: RunConfig) -> int:
                 + "".join(f"# pinned x{v} = {b}\n" for v, b in sorted(red.pinned.items()))
                 + render_graph(red.graph)
             )
-    elif mode == "rewrite":
-        return cmd_rewrite(args, config)
-    else:
-        raise ProdCspError(f"unknown reduce mode {mode!r}")
     _write_out(out, args.out)
     return 0
 
 
-def cmd_rewrite(args, config: RunConfig) -> int:
-    if not args.script or not args.target:
-        print("error: rewrite needs --script and --target", file=sys.stderr)
-        return 2
+def cmd_rewrite(args) -> int:
     inst = parse_instance(_read(args.file))
     script = parse_script(_read(args.script))
     _, pool = inst.named_tables()
@@ -185,20 +165,20 @@ def cmd_rewrite(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(args, config: RunConfig) -> int:
+def cmd_gen(args) -> int:
     kind = args.kind.upper()
     if kind in ("IS", "BIS", "FLOW"):
-        out = render_graph(gen.random_graph(kind, args.n, config.seed))
+        out = render_graph(gen.random_graph(kind, args.n, args.seed))
     elif kind == "CSP":
         import random
 
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         pool = [
             gen.random_ed_constraint(rng, 2, "E1"),
             gen.random_af_constraint(rng, 3, "A1"),
             gen.random_ed_constraint(rng, 1, "U1"),
         ]
-        out = render_instance(gen.random_instance(args.n, pool, args.apps, config.seed))
+        out = render_instance(gen.random_instance(args.n, pool, args.apps, args.seed))
     else:
         print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
         return 2
@@ -206,7 +186,7 @@ def cmd_gen(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args) -> int:
     text = _read(args.file)
     first = next((line.split()[0] for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")), "")
     if first == "graph":
@@ -217,7 +197,7 @@ def cmd_eval(args, config: RunConfig) -> int:
         inst = parse_instance(text)
         bits = parse_assignment(args.assign, inst.num_vars)
         value = measure(inst, bits)
-    if config.machine:
+    if args.machine:
         print(f"measure: {format_fraction(value)}")
         print(f"decimal: {frac_to_decimal_str(value)}")
     else:
@@ -225,13 +205,13 @@ def cmd_eval(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_check(args, config: RunConfig) -> int:
+def cmd_check(args) -> int:
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     unknown = [n for n in names if n not in checks.SUITES]
     if unknown:
         print(f"error: unknown suite {unknown[0]!r}", file=sys.stderr)
         return 2
-    results = checks.run_suites(names, config.seed)
+    results = checks.run_suites(names, args.seed)
     passed = sum(r.passed for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -247,12 +227,8 @@ def cmd_check(args, config: RunConfig) -> int:
 def _add_globals(parser: argparse.ArgumentParser, top: bool):
     """Global flags, accepted both before and after the subcommand."""
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument(
-        "--tol", type=float, default=d(1e-9),
-        help="accepted for compatibility and must be positive; every decider is exact and ignores it",
-    )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for all randomized paths")
-    parser.add_argument("--max-n", type=int, default=d(24), help="exhaustive solver cap")
+    parser.add_argument("--max-n", type=int, default=d(DEFAULT_MAX_N), help="exhaustive solver cap")
     parser.add_argument(
         "--exact", action="store_true", default=d(False), help="refuse inexact paths"
     )
@@ -269,45 +245,46 @@ def build_parser() -> argparse.ArgumentParser:
     _add_globals(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, **kwargs):
+    def command(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         _add_globals(p, top=False)
+        p.set_defaults(func=func)
         return p
 
-    p = command("classify", help="classify a constraint file")
+    p = command("classify", cmd_classify, help="classify a constraint file")
     p.add_argument("file")
-    p = command("classify-constraint", help="per-constraint verdicts with certificates")
+    p = command(
+        "classify-constraint", cmd_classify, help="per-constraint verdicts with certificates"
+    )
     p.add_argument("file")
 
-    p = command("solve", help="optimize an instance file")
+    p = command("solve", cmd_solve, help="optimize an instance file")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "brute", "tractable", "hill"), default="auto")
     p.add_argument("--restarts", type=int, default=8)
 
-    p = command("reduce", help="apply an instance transform")
-    p.add_argument("mode", choices=("is2csp", "complement", "bis2csp", "csp2flow", "rewrite"))
+    p = command("reduce", cmd_reduce, help="apply an instance transform")
+    p.add_argument("mode", choices=("is2csp", "complement", "bis2csp", "csp2flow"))
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--script")
-    p.add_argument("--target")
 
-    p = command("rewrite", help="rewrite applications of one constraint via a script")
+    p = command("rewrite", cmd_rewrite, help="rewrite applications of one constraint via a script")
     p.add_argument("file")
     p.add_argument("--script", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out")
 
-    p = command("gen", help="generate a random graph or instance")
+    p = command("gen", cmd_gen, help="generate a random graph or instance")
     p.add_argument("--kind", required=True, help="is|bis|flow|csp")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--apps", type=int, default=10)
     p.add_argument("--out")
 
-    p = command("eval", help="evaluate one assignment's measure")
+    p = command("eval", cmd_eval, help="evaluate one assignment's measure")
     p.add_argument("file")
     p.add_argument("--assign", required=True)
 
-    p = command("check", help="run the invariant suites")
+    p = command("check", cmd_check, help="run the invariant suites")
     p.add_argument("--suite", default="all")
     return parser
 
@@ -320,42 +297,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
-    config = RunConfig(
-        seed=args.seed,
-        max_n=args.max_n,
-        exact_only=args.exact,
-        machine=args.machine,
-    )
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return cmd_classify(args, config, constraint_detail=False)
-        if args.command == "classify-constraint":
-            return cmd_classify(args, config, constraint_detail=True)
-        if args.command == "solve":
-            return cmd_solve(args, config)
-        if args.command == "reduce":
-            return cmd_reduce(args, config)
-        if args.command == "rewrite":
-            return cmd_rewrite(args, config)
-        if args.command == "gen":
-            return cmd_gen(args, config)
-        if args.command == "eval":
-            return cmd_eval(args, config)
-        if args.command == "check":
-            return cmd_check(args, config)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ProdCspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: input too large for memory", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -32,14 +32,6 @@ class ConstructionScript:
                 total *= step[1]
         return total
 
-    @property
-    def sources(self) -> tuple[str, ...]:
-        names = [self.source]
-        for step in self.steps:
-            if step[0] == "mul" and step[1] not in names:
-                names.append(step[1])
-        return tuple(names)
-
     def extended(self, *steps: Step) -> "ConstructionScript":
         return ConstructionScript(self.source, self.steps + tuple(steps))
 

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .construct import ConstructionScript
 from .errors import ArgumentError, DomainError
-from .ratmath import frac_log2, rel_close
+from .ratmath import frac_log2
 from .tables import ConstraintTable, Support
 
 ONE = Fraction(1)
@@ -141,21 +141,10 @@ class ImOptCertificate:
 Certificate = DegenerateCertificate | EdCertificate | AfCertificate | ImOptCertificate
 
 
-def certificate_matches(
-    cert: Certificate, table: ConstraintTable, rel_tol: float = 1e-9
-) -> bool:
-    """Check that a certificate's rebuilt table reproduces f: exact zeros off
-    support, within rel_tol on support."""
-    rebuilt = cert.to_table()
-    if rebuilt.arity != table.arity:
-        return False
-    for got, want in zip(rebuilt.weights, table.weights):
-        if want == 0:
-            if got != 0:
-                return False
-        elif not rel_close(got, want, rel_tol):
-            return False
-    return True
+def certificate_matches(cert: Certificate, table: ConstraintTable) -> bool:
+    """Check that a certificate's rebuilt table is f exactly: same arity and
+    the same rational weight at every input."""
+    return cert.to_table() == table
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +590,6 @@ def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate
     u0, u1 = factors[0]
     factors[0] = (const * u0, const * u1)
     return ImOptCertificate(tuple(factors), frozenset(lambda_pairs))
-
-
-def _imopt_lp(table: ConstraintTable, rel_tol: float = 1e-9) -> Optional[ImOptCertificate]:
-    """The exact decider under the name of the linear program it replaced:
-    non-None exactly when f is in IM_opt. rel_tol is ignored."""
-    return is_imopt(table)
 
 
 def is_imopt(table: ConstraintTable) -> Optional[ImOptCertificate]:

@@ -82,12 +82,3 @@ def parse_weight(token: str) -> Fraction:
     sign, num, den = match.groups()
     value = Fraction(_str_to_int(num), _str_to_int(den) if den else 1)
     return -value if sign == "-" else value
-
-
-def rel_close(a: Fraction | float, b: Fraction | float, rel_tol: float) -> bool:
-    """Relative closeness with exact equality short-circuit (handles zero exactly)."""
-    if a == b:
-        return True
-    fa, fb = float(a), float(b)
-    scale = max(abs(fa), abs(fb))
-    return abs(fa - fb) <= rel_tol * scale

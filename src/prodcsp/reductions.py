@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .construct import ConstructionScript, _lookup, replay
 from .errors import ArgumentError, CertificateError, ReductionError
 from .graphs import GraphInstance, graph_brute_force
-from .instances import Assignment, CspInstance, measure
+from .instances import DEFAULT_MAX_N, Assignment, CspInstance, measure
 from .membership import ImOptCertificate, is_imopt
 from .routes import solve
 from .tables import ConstraintTable, D0, D1, NAND, IMPLIES, make_table
@@ -259,7 +259,7 @@ def imopt_to_flow(
 def solve_via_flow(
     inst: CspInstance,
     certs: Mapping[str, ImOptCertificate] | None = None,
-    max_n: int = 24,
+    max_n: int = DEFAULT_MAX_N,
 ) -> tuple[Fraction, Assignment]:
     """Optimize through the flow encoding; the argmax is re-evaluated on the
     source instance so the returned value is exact and authoritative."""

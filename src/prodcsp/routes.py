@@ -15,7 +15,7 @@ from .instances import DEFAULT_MAX_N, Assignment, CspInstance, SolveResult
 from .instances import brute_force, hill_climb, measure
 from .tractable import certify_instance, solve_tractable
 
-_STRATEGY_METHOD = {"exact": "auto", "hill": "hill", "hill_climb": "hill"}
+_STRATEGY_METHOD = {"exact": "auto", "hill": "hill"}
 
 
 def solve(

@@ -73,10 +73,6 @@ class Support:
         return tuple(index_to_bits(i, self.arity) for i in self.indices())
 
     @property
-    def size(self) -> int:
-        return bin(self.mask).count("1")
-
-    @property
     def is_empty(self) -> bool:
         return self.mask == 0
 

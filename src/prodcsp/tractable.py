@@ -111,16 +111,14 @@ def _plan(cert: EdCertificate, arity: int):
 def solve_tractable(
     inst: CspInstance,
     certs: Mapping[str, EdCertificate],
-    allow_brute_fallback: bool = False,
 ) -> SolveResult:
     """Exact optimum through the certificates' pins/links/unary factors.
 
     Contradictory systems (and components whose both choices vanish) yield
     optimum 0 with the all-zeros assignment. When a component's two choices
     tie, it takes the one that sets its smallest-index variable to 0, so the
-    argmax is the lexicographically smallest maximizer. A missing certificate
-    is refused unless the explicit brute-force fallback is requested (which
-    routes.solve never does); a non-ed certificate is refused always.
+    argmax is the lexicographically smallest maximizer. A missing or non-ed
+    certificate is refused.
 
     Each distinct table is planned once (`_plan`) and its plan is found by
     the table object; all weights are ints until the optimum is built as
@@ -134,10 +132,6 @@ def solve_tractable(
             by_name[name] = ((), (), 1)
             continue
         if name not in certs:
-            if allow_brute_fallback:
-                from .instances import brute_force
-
-                return brute_force(inst)
             raise CertificateError(
                 f"no ed certificate supplied for applied constraint {name!r}"
             )

@@ -2,7 +2,7 @@
 
 - every constraint ed-factorable
   -> the product optimum is computable exactly in polynomial time (every
-     af-factorable constraint is ed-factorable, so PO_AF is never returned);
+     af-factorable constraint is ed-factorable, so AF needs no category);
 - otherwise, everything implication-weighted (imopt)
   -> intermediate: as hard as product bipartite independent set, and
      reducible to the product flow-design problem;
@@ -23,7 +23,6 @@ from .tables import ConstraintTable
 
 
 class Category(enum.Enum):
-    PO_AF = "PO_AF"  # kept for callers; AF lies inside ED, so never returned
     PO_ED = "PO_ED"
     INTERMEDIATE_IMOPT = "INTERMEDIATE_IMOPT"
     IS_HARD = "IS_HARD"

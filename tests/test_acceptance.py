@@ -89,7 +89,7 @@ def test_criterion_1_classifier_atlas():
             ok, detail = False, f"{name}: got {sorted(classes)}, want {sorted(expected)}"
             break
         for label, cert in certs.items():
-            if not certificate_matches(cert, table, 1e-9):
+            if not certificate_matches(cert, table):
                 ok, detail = False, f"{name}: {label} certificate does not rebuild"
                 break
     if ok:
@@ -254,7 +254,7 @@ def test_criterion_7_binary_membership_sampling():
         x, y, z, w = random_positive_quadruple(rng, want_greater=True)
         table = make_table([x, y, z, w])
         cert = is_imopt(table)
-        if cert is not None and certificate_matches(cert, table, 1e-9):
+        if cert is not None and certificate_matches(cert, table):
             members += 1
     for _ in range(1000):
         x, y, z, w = random_positive_quadruple(rng, want_greater=False)

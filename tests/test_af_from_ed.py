@@ -111,12 +111,13 @@ def test_af_certificates_rebuild_exactly():
     for t in TABLES:
         cert = is_af(t)
         if cert is not None:
-            assert certificate_matches(cert, t, 0.0), t
+            assert certificate_matches(cert, t), t
 
 
-def test_classify_never_returns_po_af():
+def test_af_members_classify_po_ed():
     for t in TABLES:
-        assert classify_set([t]).category is not Category.PO_AF
+        if is_af(t) is not None:
+            assert classify_set([t]).category is Category.PO_ED
 
 
 def test_pivot_is_the_component_representative():

@@ -1,5 +1,7 @@
 """Command-line contract: outputs, exit codes, determinism."""
 
+import pytest
+
 from prodcsp.cli import main
 
 CONSTRAINTS = "constraint HALF 2\n1 1 1/2 1\n"
@@ -316,23 +318,35 @@ class TestSolveCertifiesOnce:
             assert len(calls) == 1
 
 
-class TestTolAccepted:
-    """--tol is read by no decider: any positive value gives the default
-    output, and a value <= 0 is still a usage error."""
+class TestRemovedFlags:
+    """--tol, `reduce rewrite` and reduce's --script/--target were removed in
+    0.2.0; each is now an argparse usage error: exit 2 with a usage line and
+    no traceback."""
 
-    def test_positive_tol_changes_nothing(self, tmp_path, capsys):
+    def usage_error(self, capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage:") and "Traceback" not in err
+        return err
+
+    def test_tol_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text(CONSTRAINTS)
-        _, default, _ = run(capsys, "--machine", "classify", str(path))
-        code, loose, _ = run(capsys, "--tol", "0.5", "--machine", "classify", str(path))
-        assert code == 0 and loose == default
+        self.usage_error(capsys, "--tol", "1e-9", "classify", str(path))
 
-    def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "c.txt"
-        path.write_text(CONSTRAINTS)
-        for tol in ("0", "-1"):
-            code, _, err = run(capsys, "--tol", tol, "classify", str(path))
-            assert code == 2 and "--tol must be positive" in err
+    def test_reduce_rewrite_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text(INSTANCE)
+        err = self.usage_error(capsys, "reduce", "rewrite", str(path))
+        assert "'rewrite'" in err
+
+    def test_reduce_takes_no_script(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text(INSTANCE)
+        err = self.usage_error(capsys, "reduce", "complement", str(path), "--script", "s.txt")
+        assert "--script" in err
 
 
 class TestHostileSize:

@@ -48,7 +48,7 @@ class TestIsDegenerate:
     def test_rank_one_factorization(self):
         cert = is_degenerate(make_table([2, 4, 3, 6]))
         assert cert is not None
-        assert certificate_matches(cert, make_table([2, 4, 3, 6]), 0.0)
+        assert certificate_matches(cert, make_table([2, 4, 3, 6]))
 
     def test_eq_is_not(self):
         assert is_degenerate(EQ) is None
@@ -56,7 +56,7 @@ class TestIsDegenerate:
     def test_every_unary_is(self):
         for ws in ([0, 0], [1, 0], [2, 5], [0, F(1, 3)]):
             cert = is_degenerate(make_table(ws))
-            assert cert is not None and certificate_matches(cert, make_table(ws), 0.0)
+            assert cert is not None and certificate_matches(cert, make_table(ws))
 
     def test_all_zero_high_arity(self):
         cert = is_degenerate(make_table([0] * 8))
@@ -121,7 +121,11 @@ class TestIsEd:
         assert len(cert.parity_links) == 2
         nontrivial = [u for u in cert.unary_factors if u != (1, 1)]
         assert len(nontrivial) == 1
-        assert certificate_matches(cert, table, 0.0)
+        assert certificate_matches(cert, table)
+        # A certificate rebuilds its own table exactly and no other.
+        cert = is_ed(make_table([1, 2, 2, 4]))
+        assert certificate_matches(cert, make_table([1, 2, 2, 4]))
+        assert not certificate_matches(cert, make_table([1, 2, 2, 4 + F(1, 10**12)]))
 
     def test_implies_rejected(self):
         assert is_ed(IMPLIES) is None
@@ -136,7 +140,7 @@ class TestIsAf:
         table = make_table([1, 0, 0, 0, 0, 0, 0, 2])
         cert = is_af(table)
         assert cert is not None and cert.pivot == 1
-        assert certificate_matches(cert, table, 0.0)
+        assert certificate_matches(cert, table)
 
     def test_implies_rejected(self):
         assert is_af(IMPLIES) is None
@@ -165,13 +169,13 @@ class TestIsImopt:
             1: (F(2), F(2)),
             2: (F(1), F(1, 2)),
         }
-        assert certificate_matches(cert, table, 0.0)
+        assert certificate_matches(cert, table)
 
     def test_implies_is_a_hard_pair(self):
         cert = is_imopt(IMPLIES)
         assert cert is not None
         assert cert.lambda_pairs == frozenset({(1, 2, F(0))})
-        assert certificate_matches(cert, IMPLIES, 0.0)
+        assert certificate_matches(cert, IMPLIES)
 
     def test_negative_pair_coefficient_rejected(self):
         assert is_imopt(make_table([1, 2, 2, 1])) is None
@@ -195,7 +199,7 @@ class TestIsImopt:
             table = make_table([x, y, z, w])
             cert = is_imopt(table)
             if greater:
-                assert cert is not None and certificate_matches(cert, table, 1e-9)
+                assert cert is not None and certificate_matches(cert, table)
             else:
                 assert cert is None
 
@@ -328,4 +332,4 @@ class TestMembershipsBundle:
             classes, certs = memberships(table)
             assert classes == frozenset(expected[id(table)])
             for label, cert in certs.items():
-                assert certificate_matches(cert, table, 1e-9), label
+                assert certificate_matches(cert, table), label

@@ -106,8 +106,8 @@ class TestDualRouteAtArityFour:
                 return make_table(weights)
 
     def test_lp_and_fm_agree(self):
-        from prodcsp import has_imp_support
-        from prodcsp.membership import _bit, _imopt_lp, _support_points
+        from prodcsp import has_imp_support, is_imopt
+        from prodcsp.membership import _bit, _support_points
 
         def fm_value_side(table):
             k = table.arity
@@ -135,7 +135,7 @@ class TestDualRouteAtArityFour:
         for _ in range(60):
             table = self._random_imp_shaped_table(rng)
             assert has_imp_support(table)
-            lp = _imopt_lp(table, 1e-9) is not None
+            lp = is_imopt(table) is not None
             fm = fm_value_side(table)
             assert lp == fm
             members += lp

@@ -10,7 +10,6 @@ from prodcsp.ratmath import (
     frac_log2,
     frac_to_decimal_str,
     parse_weight,
-    rel_close,
 )
 
 F = Fraction
@@ -51,13 +50,3 @@ class TestFormatting:
         assert parse_weight("3/2") == F(3, 2)
         assert parse_weight("1.5") == F(3, 2)
         assert parse_weight("2") == F(2)
-
-
-class TestRelClose:
-    def test_exact_equality_includes_zero(self):
-        assert rel_close(F(0), F(0), 0.0)
-        assert rel_close(F(5, 3), F(5, 3), 0.0)
-
-    def test_relative_window(self):
-        assert rel_close(1.0, 1.0 + 5e-10, 1e-9)
-        assert not rel_close(1.0, 1.0 + 5e-9, 1e-9)

@@ -69,11 +69,6 @@ class TestSolveTractable:
         with pytest.raises(CertificateError):
             solve_tractable(inst, {})
 
-    def test_explicit_brute_fallback(self):
-        inst = ed_example()
-        result = solve_tractable(inst, {}, allow_brute_fallback=True)
-        assert result.optimum == 6 and result.method == "brute_force"
-
     def test_repeated_variable_link(self):
         inst = CspInstance(1, ((XOR, (1, 1)),))
         result = solve_tractable(inst, certify_instance(inst))
