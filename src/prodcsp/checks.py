@@ -378,6 +378,21 @@ def suite_instances(seed: int = 0) -> list[CheckResult]:
         ok &= back.applications == inst.applications  # tables compare by weights
         ok &= all(type(v) is int for _, vs in back.applications for v in vs)
     out.append(CheckResult("instances", "rendered instances parse back to the same applications", ok))
+
+    ok = True
+    for trial in range(10):
+        n = rng.randint(9, 11)
+        # Small weights and EQ links leave ties, where the argmax tie-break shows.
+        pool = [make_table([rng.choice((0, 1, 1, 2)) for _ in range(1 << k)], f"B{trial}_{k}")
+                for k in (1, 2, 3)] + [EQ]
+        inst = gen.random_instance(n, pool, 2 * n, seed + trial)
+        result = brute_force(inst)
+        value, neg_a = max(
+            (measure(inst, int_to_assignment(a, n)), -a) for a in range(1 << n)
+        )
+        ok &= (result.optimum, result.argmax) == (value, int_to_assignment(-neg_a, n))
+    out.append(CheckResult(
+        "instances", "brute force equals the measure enumeration past the 6-variable block", ok))
     return out
 
 

@@ -2,6 +2,10 @@
 the correctness oracle everywhere, the hill-climb local search, and the ratio
 check with its zero rule. Which solver a call takes is chosen in `routes`.
 
+The exhaustive solver is a block-vector scan: the 64 assignments of the last
+six occurring variables are scored at once as one list product, the rest
+are enumerated, and only subtrees whose product is all zeros are skipped.
+
 Assignments are plain 0/1 tuples; position l holds the value of variable
 x_{l+1}. An assignment's integer encoding (x1 as the most significant bit)
 makes numeric order coincide with lexicographic order, which is the argmax
@@ -17,6 +21,7 @@ its line only when one occurs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +35,8 @@ from .tables import ConstraintTable, bits_to_index, index_to_bits
 Assignment = tuple[int, ...]
 
 DEFAULT_MAX_N = 24
+_LOW_BITS = 6  # variables scored at once by brute_force's vectors
+_MERGE_BITS = 6  # most high variables one of brute_force's merged tables reads
 
 Application = tuple[ConstraintTable, tuple[int, ...]]
 
@@ -170,31 +177,73 @@ class SolveResult:
         object.__setattr__(self, "log2", None if zero else frac_log2(self.optimum))
 
 
-def _scan(
-    total: int,
-    napps: int,
-    shifts: list[tuple[int, ...]],
-    offsets: list[tuple[int, ...]],
-    tables: list[tuple[int, ...]],
+def _merged(
+    union: tuple[int, ...], members: list[tuple[tuple[int, ...], list[list[int]]]]
+) -> list[list[int]]:
+    """One vector per assignment of the high ranks `union` (first rank most
+    significant): the product of the members' vectors, each member read at
+    its own ranks, a subset of `union`."""
+    width = len(union)
+    out = []
+    for i in range(1 << width):
+        vec = None
+        for ranks, vectors in members:
+            j = 0
+            for r in ranks:
+                j = j << 1 | i >> (width - 1 - union.index(r)) & 1
+            vec = vectors[j] if vec is None else list(map(operator.mul, vec, vectors[j]))
+        out.append(vec)
+    return out
+
+
+def _block_scan(
+    high: int, low: int, base: list[int], at_depth: list[list]
 ) -> tuple[int, int]:
-    """Best (integer value, smallest assignment int) over [0, total)."""
-    best = -1
-    best_at = 0
-    for a in range(total):
-        value = 1
-        for t in range(napps):
-            idx = 0
-            sh = shifts[t]
-            off = offsets[t]
-            for p in range(len(sh)):
-                idx |= ((a >> sh[p]) & 1) << off[p]
-            value *= tables[t][idx]
-            if value == 0:
-                break
-        if value > best:
-            best = value
-            best_at = a
-    return best, best_at
+    """Best (integer value, smallest assignment int), where an assignment
+    int is (high index << low) | low index.
+
+    `base` is the vector of the applications without a high variable;
+    `at_depth[d]` lists (high ranks, one vector per assignment of them) for
+    the tables whose last high rank is d. The high block is enumerated
+    depth-first in increasing order with one partial product per depth; an
+    all-zero one ends its subtree, where every assignment scores 0. The best
+    starts at 0 for assignment 0 and moves only on a strictly greater value,
+    so it is the first maximizer in numeric order.
+    """
+    if not high:
+        top = max(base)
+        return top, base.index(top)
+    mul = operator.mul
+    best = best_at = 0
+    bits = [0] * high
+    vecs = [base] * high
+    last = high - 1
+    d = 0
+    while True:
+        vec = vecs[d]
+        for ranks, vectors in at_depth[d]:
+            i = 0
+            for r in ranks:
+                i = i << 1 | bits[r]
+            vec = list(map(mul, vec, vectors[i]))
+        if d == last:
+            top = max(vec)
+            if top > best:
+                hi = 0
+                for b in bits:
+                    hi = hi << 1 | b
+                best, best_at = top, hi << low | vec.index(top)
+        elif any(vec):
+            d += 1
+            vecs[d] = vec
+            continue
+        # Next sibling: climb past the depths already at 1, resetting them.
+        while bits[d]:
+            bits[d] = 0
+            if not d:
+                return best, best_at
+            d -= 1
+        bits[d] = 1
 
 
 def brute_force(
@@ -205,9 +254,18 @@ def brute_force(
     """Exhaustive exact optimum; argmax is the lexicographically smallest
     maximizer. Only variables that occur in some application are enumerated;
     the others are 0 in it, and the cap still applies to the variable count.
-    `workers` is accepted for compatibility and ignored: the scan
-    runs in one thread, since a thread pool gave no speedup on this
-    pure-Python loop."""
+
+    The last `_LOW_BITS` occurring variables form the low block, the others
+    the high block. Each application becomes one vector of its integer
+    values over the low block per assignment of its high variables. Those
+    without a high variable multiply into one base vector, the rest into one
+    group per set of high variables. The groups ending at the same high
+    variable are multiplied out into as few tables as `_MERGE_BITS` allows,
+    so that a node of `_block_scan`'s enumeration costs about one vector
+    product, whatever the instance's shape.
+
+    `workers` is accepted and ignored. It is kept only because the benchmark
+    passes it; ROADMAP item 13 deletes it."""
     n = inst.num_vars
     if n > max_n:
         raise CapExceededError(
@@ -216,24 +274,64 @@ def brute_force(
         )
     occurring = sorted({v for _, variables in inst.applications for v in variables})
     m = len(occurring)
-    shift = {v: m - 1 - rank for rank, v in enumerate(occurring)}
+    low = min(m, _LOW_BITS)
+    high = m - low
+    rank = {v: r for r, v in enumerate(occurring)}
+    base = [1] * (1 << low)
+    groups: dict[tuple[int, ...], list[list[int]]] = {}
     # Clear denominators per application: a constant factor per application
     # cannot change which assignments maximize the product.
     denominator = Fraction(1)
-    shifts, offsets, int_tables = [], [], []
     for table, variables in inst.applications:
         k = table.arity
         lcm = 1
         for w in table.weights:
             lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
         denominator *= lcm
-        int_tables.append(tuple(int(w * lcm) for w in table.weights))
-        shifts.append(tuple(shift[v] for v in variables))
-        offsets.append(tuple(k - 1 - p for p in range(k)))
-    best, best_at = _scan(1 << m, len(inst.applications), shifts, offsets, int_tables)
+        weights = [int(w * lcm) for w in table.weights]
+        # Each variable's bits in the table index (a repeat sets several).
+        mask: dict[int, int] = {}
+        for p, v in enumerate(variables):
+            mask[rank[v]] = mask.get(rank[v], 0) | 1 << (k - 1 - p)
+        # Table-index part contributed by each low index, built from the
+        # least significant low bit (rank m - 1) up.
+        lows = [0]
+        for r in range(m - 1, high - 1, -1):
+            c = mask.get(r, 0)
+            lows += [x | c for x in lows] if c else lows
+        ranks = tuple(sorted(r for r in mask if r < high))
+        highs = [0]
+        for r in ranks:
+            highs = [x | c for x in highs for c in (0, mask[r])]
+        vectors = [[weights[h | x] for x in lows] for h in highs]
+        if not ranks:
+            base = list(map(operator.mul, base, vectors[0]))
+        elif ranks in groups:
+            groups[ranks] = [list(map(operator.mul, a, b))
+                             for a, b in zip(groups[ranks], vectors)]
+        else:
+            groups[ranks] = vectors
+    # Bucket the groups by their last high rank, largest rank sets first,
+    # each bucket reading at most _MERGE_BITS ranks; multiply each out once.
+    buckets: list[list] = [[] for _ in range(high)]
+    for ranks in sorted(groups, key=len, reverse=True):
+        for bucket in buckets[ranks[-1]]:
+            union = tuple(sorted({*bucket[0], *ranks}))
+            if len(union) <= _MERGE_BITS:
+                bucket[0] = union
+                bucket.append(ranks)
+                break
+        else:
+            buckets[ranks[-1]].append([ranks, ranks])
+    at_depth = [
+        [(union, _merged(union, [(r, groups.pop(r)) for r in members]))
+         for union, *members in filed]
+        for filed in buckets
+    ]
+    best, best_at = _block_scan(high, low, base, at_depth)
     bits = [0] * n
     for v in occurring:
-        bits[v - 1] = (best_at >> shift[v]) & 1
+        bits[v - 1] = (best_at >> (m - 1 - rank[v])) & 1
     return SolveResult(Fraction(best, 1) / denominator, tuple(bits), "brute_force")
 
 
