@@ -53,7 +53,7 @@ def _weight(token: str, lineno: int) -> Fraction:
         value = parse_weight(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad weight {token!r} (use decimals or p/q)")
-    if value < 0:
+    if value.numerator < 0:
         raise ParseError(lineno, f"weights must be nonnegative, got {token}")
     return value
 
@@ -66,12 +66,15 @@ def _int(token: str, lineno: int, what: str) -> int:
 
 
 class _ConstraintAccumulator:
-    """Shared block parser: `constraint NAME ARITY` followed by weights."""
+    """Shared block parser: `constraint NAME ARITY` followed by weights.
+
+    Each distinct weight token is parsed once per file."""
 
     def __init__(self):
         self.tables: dict[str, ConstraintTable] = {}
         self.pending: tuple[str, int, int] | None = None  # name, arity, start line
         self.weights: list[Fraction] = []
+        self.parsed: dict[str, Fraction] = {}  # weight token -> its value
 
     def start(self, tokens, lineno):
         self.finish(lineno)
@@ -92,10 +95,14 @@ class _ConstraintAccumulator:
         """Consume a weight line if a block is open; returns True if eaten."""
         if self.pending is None:
             return False
+        parsed = self.parsed
         for token in tokens:
             if len(self.weights) >= (1 << self.pending[1]):
                 raise ParseError(lineno, f"too many weights for {self.pending[0]}")
-            self.weights.append(_weight(token, lineno))
+            value = parsed.get(token)
+            if value is None:
+                value = parsed[token] = _weight(token, lineno)
+            self.weights.append(value)
         if len(self.weights) == (1 << self.pending[1]):
             name, arity, _ = self.pending
             self.tables[name] = ConstraintTable(arity, tuple(self.weights), name)

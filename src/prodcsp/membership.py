@@ -15,8 +15,10 @@ classes of weighted Boolean constraints:
 
 plus the two support predicates (affine support, implication-definable
 support) and the multilinear log2 expansion, which is for display only.
-Every decider is exact: certificates hold rationals computed from the
-table's weights and rebuild it with no tolerance.
+Every decider is exact. The ED and IM_opt deciders put the table's weights
+over one common denominator and compare cross-multiplied ints of that form
+(`_int_form`); only a table that passes gets Fractions, as the ratios of
+its certificate, which rebuild it with no tolerance.
 
 Conventions for the degenerate corner cases:
 - the all-zero constraint of arity >= 1 belongs to ed/af/imopt/degenerate
@@ -31,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from .construct import ConstructionScript
@@ -274,43 +277,80 @@ def has_imp_support(table: ConstraintTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# unary-product factorization over a structured support
+# the integer form and the unary-product factorization over a structured support
+
+
+def _int_form(table: ConstraintTable) -> tuple[list[int], int]:
+    """The weights over their least common denominator L, as the ints
+    W_i = w_i * L, and the support mask read from W.
+
+    Every ratio and every cross-multiplied comparison of weights is the
+    same over W as over w, so the deciders compare ints and build Fractions
+    only for a certificate. Built once per decider call and kept nowhere.
+    """
+    ws = table.weights
+    dens = [w.denominator for w in ws]
+    common = lcm(*dens)
+    if common == 1:
+        W = [w.numerator for w in ws]
+    else:
+        W = [w.numerator * (common // d) for w, d in zip(ws, dens)]
+    mask = 0
+    for i, x in enumerate(W):
+        if x:
+            mask |= 1 << i
+    return W, mask
+
+
+@lru_cache(maxsize=None)
+def _component_walk(
+    arity: int, mask: int
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The base (first) support point, the index masks of the parity
+    components, and for each subset t of two or more components, in
+    increasing order, the triple (idx(t), idx(t - c), base ^ mask_c), with
+    c the lowest component of t and idx(t) the base point with the
+    components of t flipped."""
+    k = arity
+    base = _support_points(k, mask)[0]
+    masks = tuple(sum(1 << (k - v) for v, _ in comp) for comp in _parity_components(k, mask))
+    idx = [base]
+    walk = []
+    for t in range(1, 1 << len(masks)):
+        c = (t & -t).bit_length() - 1
+        rest = idx[t & (t - 1)]
+        idx.append(rest ^ masks[c])
+        if t & (t - 1):
+            walk.append((idx[t], rest, base ^ masks[c]))
+    return base, masks, tuple(walk)
 
 
 def _factor_over_components(
-    table: ConstraintTable, comps: tuple[tuple[tuple[int, int], ...], ...]
+    table: ConstraintTable, W: list[int], mask: int
 ) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
     """Try to factor f over its support as constant x product of one unary
-    weight per component. Exact; returns per-variable factors or None.
+    weight per parity component; returns per-variable factors or None.
 
     Assumes the support is exactly {base xor any subset of component masks}.
+    f factors iff f(idx(t)) * f(base) == f(idx(t - c)) * f(base ^ mask_c)
+    at each subset t of components, c its lowest (`_component_walk`): one
+    multiply-compare of the integer form W per support point, walked in
+    increasing t so that t - c is checked first. Only a table that passes gets Fractions, and the
+    ratios of W are the ratios of f, so the factors rebuild f exactly.
     """
     k = table.arity
-    pts = _support_points(k, table.support().mask)
-    base = pts[0]
-    const = table.weights[base]
-    masks = []
-    for comp in comps:
-        m = 0
-        for v, _ in comp:
-            m |= 1 << (k - v)
-        masks.append(m)
-    ratios = [table.weights[base ^ m] / const for m in masks]
-    for t in range(1 << len(comps)):
-        idx = base
-        expected = const
-        for c in range(len(comps)):
-            if (t >> c) & 1:
-                idx ^= masks[c]
-                expected *= ratios[c]
-        if table.weights[idx] != expected:
+    base, masks, walk = _component_walk(k, mask)
+    b = W[base]
+    for i, rest, single in walk:
+        if W[i] * b != W[rest] * W[single]:
             return None
     factors: list[tuple[Fraction, Fraction]] = [(ONE, ONE)] * k
-    for comp, ratio in zip(comps, ratios):
+    for comp, m in zip(_parity_components(k, mask), masks):
+        ratio = Fraction(W[base ^ m], b)
         rep, _ = comp[0]
-        b = _bit(base, rep, k)
-        factors[rep - 1] = (ONE, ratio) if b == 0 else (ratio, ONE)
+        factors[rep - 1] = (ONE, ratio) if _bit(base, rep, k) == 0 else (ratio, ONE)
     # fold the base constant into variable 1
+    const = table.weights[base]
     u0, u1 = factors[0]
     factors[0] = (const * u0, const * u1)
     return tuple(factors)
@@ -322,7 +362,7 @@ def _factor_over_components(
 
 def is_nonzero(table: ConstraintTable) -> bool:
     """True iff every output value is strictly positive."""
-    return all(w > 0 for w in table.weights)
+    return all(w.numerator for w in table.weights)
 
 
 def _all_zero_factors(arity: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -334,18 +374,23 @@ def is_ed(table: ConstraintTable) -> Optional[EdCertificate]:
     links, and the values on it must factor into per-component unary weights.
 
     The derived pins and links hold on the support and have 2^(components)
-    solutions, so the support is theirs exactly when it has that many points.
+    solutions, so the support is theirs exactly when it has that many points;
+    a support whose size is no power of two fails before any component is
+    derived (or cached).
     """
     k = table.arity
     if k == 0:
         return EdCertificate((), frozenset(), ()) if table.weights[0] == 1 else None
-    mask = table.support().mask
+    W, mask = _int_form(table)
     if mask == 0:
         return EdCertificate((), frozenset(), _all_zero_factors(k))
-    comps = _parity_components(k, mask)
-    if mask.bit_count() != 1 << len(comps):
+    size = mask.bit_count()
+    if size & (size - 1):
         return None
-    factors = _factor_over_components(table, comps)
+    comps = _parity_components(k, mask)
+    if size != 1 << len(comps):
+        return None
+    factors = _factor_over_components(table, W, mask)
     if factors is None:
         return None
     links = frozenset(
@@ -481,6 +526,9 @@ class _ImpLattice:
     masks: tuple[int, ...]  # index bits of each class's variables
     ups: tuple[int, ...]  # index bits of each class and every class above it
     incomparable: tuple[tuple[int, int], ...]  # class positions (a, b), a < b
+    # each support point but base, in increasing index, with the position
+    # of its first class; lower classes come first, so that class is minimal
+    points: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -508,16 +556,25 @@ def _imp_lattice(arity: int, mask: int) -> _ImpLattice:
         for a, b in itertools.combinations(range(len(ordered)), 2)
         if not (ups[a] & masks[b] or ups[b] & masks[a])
     )
+    base = bits(v for v, c in pins if c)
+    points = tuple(
+        (idx, next(a for a, m in enumerate(masks) if idx & m))
+        for idx in _support_points(k, mask)
+        if idx != base
+    )
     return _ImpLattice(
-        base=bits(v for v, c in pins if c),
+        base=base,
         classes=tuple(tuple(cls) for _, cls in ordered),
         masks=masks,
         ups=ups,
         incomparable=incomparable,
+        points=points,
     )
 
 
-def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate]:
+def _imopt_exact(
+    table: ConstraintTable, W: list[int], mask: int
+) -> Optional[ImOptCertificate]:
     """The exact IM_opt test on an implication-definable support (Rota 1964).
 
     On the support, log2 f is a function on the up-sets T of the class
@@ -534,38 +591,40 @@ def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate
     f(T) = f(T - A) * rho_A * prod(delta_AB for B in T incomparable with A)
     at every support point T, with A a minimal class of T. The points are
     checked in increasing index, so each T - A is checked before T and the
-    test exits at the first point that fails. Every number is a ratio of
-    table weights, so the certificate rebuilds f exactly.
+    test exits at the first point that fails.
+
+    Every test runs on the integer form W: rho and delta stay (num, den)
+    int pairs, even and odd are compared as ints, and the point test
+    cross-multiplies. Each is a ratio of table weights, the same over W as
+    over f, so the certificate built from them once the table has passed
+    rebuilds f exactly.
     """
     k = table.arity
-    w = table.weights
     lat = _imp_lattice(k, mask)
     base = lat.base
     n = len(lat.classes)
-    rho = [w[base | up] / w[base | (up ^ m)] for up, m in zip(lat.ups, lat.masks)]
-    partners: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    deltas: list[tuple[int, int, Fraction]] = []
+    rho = [(W[base | up], W[base | (up ^ m)]) for up, m in zip(lat.ups, lat.masks)]
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    deltas: list[tuple[int, int, int, int]] = []
     for a, b in lat.incomparable:
         top = base | lat.ups[a] | lat.ups[b]
-        even = w[top] * w[top ^ lat.masks[a] ^ lat.masks[b]]
-        odd = w[top ^ lat.masks[a]] * w[top ^ lat.masks[b]]
+        even = W[top] * W[top ^ lat.masks[a] ^ lat.masks[b]]
+        odd = W[top ^ lat.masks[a]] * W[top ^ lat.masks[b]]
         if even < odd:
             return None
         if even != odd:
-            delta = even / odd
-            partners[a].append((lat.masks[b], delta))
-            partners[b].append((lat.masks[a], delta))
-            deltas.append((a, b, delta))
-    for idx in _support_points(k, mask):
-        if idx == base:
-            continue
-        # The first class present is minimal: lower classes come first.
-        a = next(a for a, m in enumerate(lat.masks) if idx & m)
-        expected = w[idx ^ lat.masks[a]] * rho[a]
-        for m, delta in partners[a]:
+            partners[a].append((lat.masks[b], even, odd))
+            partners[b].append((lat.masks[a], even, odd))
+            deltas.append((a, b, even, odd))
+    for idx, a in lat.points:
+        num, den = rho[a]
+        num *= W[idx ^ lat.masks[a]]
+        den *= W[idx]
+        for m, even, odd in partners[a]:
             if idx & m:
-                expected *= delta
-        if w[idx] != expected:
+                num *= even
+                den *= odd
+        if num != den:
             return None
 
     pins = _pins_of(k, mask)
@@ -573,20 +632,20 @@ def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate
     factors: list[tuple[Fraction, Fraction]] = [(ONE, ONE)] * k
     for v, c in pins:
         factors[v - 1] = (ZERO, ONE) if c else (ONE, ZERO)
-    hi = {cls[0]: rho[a] for a, cls in enumerate(lat.classes)}
+    hi = {cls[0]: Fraction(*rho[a]) for a, cls in enumerate(lat.classes)}
     lambda_pairs = {
         (r, s, ZERO)
         for r, s in _implication_pairs(k, mask)
         if r not in pinned and s not in pinned
     }
-    for a, b, delta in deltas:
+    for a, b, even, odd in deltas:
         # delta^(x_r x_s) = delta^x_r * (1/delta)^(x_r (1 - x_s))
         r, s = sorted((lat.classes[a][0], lat.classes[b][0]))
-        hi[r] *= delta
-        lambda_pairs.add((r, s, ONE / delta))
+        hi[r] *= Fraction(even, odd)
+        lambda_pairs.add((r, s, Fraction(odd, even)))
     for rep, ratio in hi.items():
         factors[rep - 1] = (ONE, ratio)
-    const = w[base]
+    const = table.weights[base]
     u0, u1 = factors[0]
     factors[0] = (const * u0, const * u1)
     return ImOptCertificate(tuple(factors), frozenset(lambda_pairs))
@@ -595,17 +654,17 @@ def _imopt_exact(table: ConstraintTable, mask: int) -> Optional[ImOptCertificate
 def is_imopt(table: ConstraintTable) -> Optional[ImOptCertificate]:
     """Implication-definable support plus the exact antichain Moebius test
     on its values (see `_imopt_exact`); every support, full or partial, is
-    decided in rational arithmetic.
+    decided in integer arithmetic on the table's common-denominator form.
     """
     k = table.arity
     if k == 0:
         return ImOptCertificate((), frozenset()) if table.weights[0] == 1 else None
-    mask = table.support().mask
+    W, mask = _int_form(table)
     if mask == 0:
         return ImOptCertificate(_all_zero_factors(k), frozenset())
     if _imp_rebuild(k, mask) != mask:
         return None
-    return _imopt_exact(table, mask)
+    return _imopt_exact(table, W, mask)
 
 
 # ---------------------------------------------------------------------------

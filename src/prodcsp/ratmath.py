@@ -63,16 +63,31 @@ def _str_to_int(digits: str) -> int:
 
 
 _LONG_RATIONAL = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+# The largest decimal exponent magnitude a weight token may carry: the
+# default digit limit of int(). Fraction("1e10000000") alone takes seconds,
+# ten times longer for each further exponent digit.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_weight(token: str) -> Fraction:
-    """Parse `3/2` or `1.5` (or `2`) as an exact rational.
+    """Parse `3/2` or `1.5` (or `2`, or `2.5e-3`) as an exact rational.
 
     An integer or p/q token past the interpreter's str-to-int digit limit,
     as `format_fraction` prints for long values, is converted in chunks, so
-    no process-wide setting changes; any other token Fraction() rejects is
-    rejected with its ValueError.
+    no process-wide setting changes. A token whose decimal exponent exceeds
+    MAX_DECIMAL_EXPONENT in magnitude raises ValueError before any
+    conversion; any other token Fraction() rejects is rejected with its
+    ValueError.
     """
+    if "e" in token or "E" in token:
+        match = _EXPONENT.search(token)
+        if match is not None:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            # Five or more digits exceed the cap; no long exponent is converted.
+            if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(token)
     except ValueError:

@@ -22,11 +22,18 @@ MAX_ARITY = 16
 WeightLike = Fraction | int | str | float
 
 
+_ZERO = Fraction(0)
+
+
 def _as_weight(w: WeightLike) -> Fraction:
+    """The weight as a nonnegative Fraction; every zero is the one shared
+    `_ZERO`, so that sparse tables (pins, parity links, hard constraints)
+    hold no Fraction object per zero entry."""
     value = w if type(w) is Fraction else Fraction(w)
-    if value < 0:
+    n = value.numerator
+    if n < 0:
         raise ArgumentError(f"weights must be nonnegative, got {value}")
-    return value
+    return value if n else _ZERO
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
@@ -120,7 +127,7 @@ class ConstraintTable:
     def support(self) -> Support:
         mask = 0
         for i, w in enumerate(self.weights):
-            if w != 0:
+            if w.numerator:
                 mask |= 1 << i
         return Support(self.arity, mask)
 
