@@ -75,7 +75,7 @@ def suite_tables(seed: int = 0) -> list[CheckResult]:
         f, g = _random_table(rng, k), _random_table(rng, k)
         prod = f.multiply(g)
         x = rng.randrange(1 << k) if k else 0
-        ok &= prod.weights[x] == f.weights[x] * g.weights[x]
+        ok &= prod.value_at(x) == f.value_at(x) * g.value_at(x)
     out.append(CheckResult("tables", "multiply is pointwise", ok))
 
     ok = True
@@ -83,11 +83,11 @@ def suite_tables(seed: int = 0) -> list[CheckResult]:
         k = rng.randint(1, 4)
         f = _random_table(rng, k)
         i, c = rng.randint(1, k), rng.randint(0, 1)
-        pinned = f.pin(i, c)
+        pinned = f.pin(i, c).weights
         for idx in range(1 << (k - 1)):
             bits = list(int_to_assignment(idx, k - 1))
             full = bits[: i - 1] + [c] + bits[i - 1 :]
-            ok &= pinned.weights[idx] == f.evaluate(full)
+            ok &= pinned[idx] == f.evaluate(full)
     out.append(CheckResult("tables", "pin agrees with substitution", ok))
 
     ok = True
@@ -98,9 +98,9 @@ def suite_tables(seed: int = 0) -> list[CheckResult]:
         g = f.maximize_out(d)
         for idx in range(1 << (k - d)):
             want = max(
-                f.weights[(idx << d) | rest] for rest in range(1 << d)
+                f.value_at((idx << d) | rest) for rest in range(1 << d)
             )
-            ok &= g.weights[idx] == want
+            ok &= g.value_at(idx) == want
         ok &= f.maximize_out(0) == f
     out.append(CheckResult("tables", "maximize_out = exhaustive max (arity <= 6)", ok))
 
@@ -225,7 +225,7 @@ def suite_membership(seed: int = 0) -> list[CheckResult]:
         exp = log_expansion(t)
         for idx in range(1 << t.arity):
             bits = int_to_assignment(idx, t.arity)
-            want = float(__import__("math").log2(float(t.weights[idx])))
+            want = float(__import__("math").log2(float(t.value_at(idx))))
             ok &= abs(exp.reconstruct(bits) - want) < 1e-9
         if is_degenerate(t) is not None:
             ok &= exp.degree() <= 1 or all(

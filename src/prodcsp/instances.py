@@ -20,7 +20,6 @@ its line only when one occurs.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,7 +138,7 @@ def measure(inst: CspInstance, bits: Sequence[int]) -> Fraction:
             f"assignment length {len(bits)} != variable count {inst.num_vars}"
         )
     # bit[v] is variable v's value (bit[0] pads the 1-based indices). Multiply
-    # numerators and denominators as ints; one Fraction at the end.
+    # the tables' ints and their denominators; one Fraction at the end.
     bit = [0]
     bit += [b & 1 for b in bits]
     num = den = 1
@@ -147,13 +146,13 @@ def measure(inst: CspInstance, bits: Sequence[int]) -> Fraction:
         idx = 0
         for v in variables:
             idx = idx << 1 | bit[v]
-        n, d = table.weight_pairs[idx]
+        n = table.nums[idx]
         if n != 1:
             if not n:
                 return Fraction(0)
             num *= n
-        if d != 1:
-            den *= d
+        if table.den != 1:
+            den *= table.den
     return Fraction(num, den)
 
 
@@ -279,16 +278,14 @@ def brute_force(
     rank = {v: r for r, v in enumerate(occurring)}
     base = [1] * (1 << low)
     groups: dict[tuple[int, ...], list[list[int]]] = {}
-    # Clear denominators per application: a constant factor per application
-    # cannot change which assignments maximize the product.
-    denominator = Fraction(1)
+    # Score each application by its table's ints: the table's denominator
+    # is a constant factor, which cannot change which assignments maximize
+    # the product, and divides the optimum once at the end.
+    denominator = 1
     for table, variables in inst.applications:
         k = table.arity
-        lcm = 1
-        for w in table.weights:
-            lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
-        denominator *= lcm
-        weights = [int(w * lcm) for w in table.weights]
+        denominator *= table.den
+        weights = table.nums
         # Each variable's bits in the table index (a repeat sets several).
         mask: dict[int, int] = {}
         for p, v in enumerate(variables):
@@ -332,7 +329,7 @@ def brute_force(
     bits = [0] * n
     for v in occurring:
         bits[v - 1] = (best_at >> (m - 1 - rank[v])) & 1
-    return SolveResult(Fraction(best, 1) / denominator, tuple(bits), "brute_force")
+    return SolveResult(Fraction(best, denominator), tuple(bits), "brute_force")
 
 
 def check_ratio(

@@ -15,10 +15,11 @@ classes of weighted Boolean constraints:
 
 plus the two support predicates (affine support, implication-definable
 support) and the multilinear log2 expansion, which is for display only.
-Every decider is exact. The ED and IM_opt deciders put the table's weights
-over one common denominator and compare cross-multiplied ints of that form
-(`_int_form`); only a table that passes gets Fractions, as the ratios of
-its certificate, which rebuild it with no tolerance.
+Every decider is exact. The ED and IM_opt deciders read the table's
+integer form, its weights as the ints `nums` over one common denominator
+(see `tables`), and compare cross-multiplied ints of it; only a table that
+passes gets Fractions, as the ratios of its certificate, which rebuild it
+with no tolerance.
 
 Conventions for the degenerate corner cases:
 - the all-zero constraint of arity >= 1 belongs to ed/af/imopt/degenerate
@@ -33,7 +34,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from .construct import ConstructionScript
@@ -153,17 +153,21 @@ def certificate_matches(cert: Certificate, table: ConstraintTable) -> bool:
 # ---------------------------------------------------------------------------
 # support analysis (cached on the (arity, mask) pair)
 
+# Entries each `(arity, mask)` cache keeps: about five times the supports of a
+# classify-mix cycle, while a stream of fresh supports cannot grow the process.
+SUPPORT_CACHE_SIZE = 4096
+
 
 def _bit(idx: int, var: int, arity: int) -> int:
     return (idx >> (arity - var)) & 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _support_points(arity: int, mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(1 << arity) if (mask >> i) & 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _affine_mask(arity: int, mask: int) -> bool:
     """Affine = closed under triple XOR = the difference set is a linear span."""
     if mask == 0:
@@ -183,7 +187,7 @@ def _affine_mask(arity: int, mask: int) -> bool:
     return len(pts) == 1 << len(pivots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _pins_of(arity: int, mask: int) -> tuple[tuple[int, int], ...]:
     """Variables that are constant across the support (nonempty support only)."""
     pts = _support_points(arity, mask)
@@ -195,7 +199,7 @@ def _pins_of(arity: int, mask: int) -> tuple[tuple[int, int], ...]:
     return tuple(pins)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _parity_pairs(arity: int, mask: int) -> tuple[tuple[int, int, int], ...]:
     """Unpinned pairs (i, j, parity) with x_i xor x_j constant on the support."""
     pts = _support_points(arity, mask)
@@ -213,7 +217,7 @@ def _parity_pairs(arity: int, mask: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _parity_components(arity: int, mask: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The unpinned variables grouped by constant XOR (nonempty support only):
     one tuple per component of (variable, parity to the representative), the
@@ -234,7 +238,7 @@ def _parity_components(arity: int, mask: int) -> tuple[tuple[tuple[int, int], ..
     return tuple(tuple(comp) for comp in comps.values())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _implication_pairs(arity: int, mask: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (r, s) whose forbidden pattern (x_r, x_s) = (1, 0) never
     occurs on the support."""
@@ -249,7 +253,7 @@ def _implication_pairs(arity: int, mask: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _imp_rebuild(arity: int, mask: int) -> int:
     pins = _pins_of(arity, mask)
     imps = _implication_pairs(arity, mask)
@@ -264,45 +268,23 @@ def _imp_rebuild(arity: int, mask: int) -> int:
 
 def has_affine_support(table: ConstraintTable) -> bool:
     """True iff the support is closed under triple XOR (empty support counts)."""
-    return _affine_mask(table.arity, table.support().mask)
+    return _affine_mask(table.arity, table.mask)
 
 
 def has_imp_support(table: ConstraintTable) -> bool:
     """True iff the support equals the solution set of its own derived pins
     and pairwise implications."""
-    mask = table.support().mask
+    mask = table.mask
     if mask == 0:
         return True
     return _imp_rebuild(table.arity, mask) == mask
 
 
 # ---------------------------------------------------------------------------
-# the integer form and the unary-product factorization over a structured support
+# the unary-product factorization over a structured support
 
 
-def _int_form(table: ConstraintTable) -> tuple[list[int], int]:
-    """The weights over their least common denominator L, as the ints
-    W_i = w_i * L, and the support mask read from W.
-
-    Every ratio and every cross-multiplied comparison of weights is the
-    same over W as over w, so the deciders compare ints and build Fractions
-    only for a certificate. Built once per decider call and kept nowhere.
-    """
-    ws = table.weights
-    dens = [w.denominator for w in ws]
-    common = lcm(*dens)
-    if common == 1:
-        W = [w.numerator for w in ws]
-    else:
-        W = [w.numerator * (common // d) for w, d in zip(ws, dens)]
-    mask = 0
-    for i, x in enumerate(W):
-        if x:
-            mask |= 1 << i
-    return W, mask
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _component_walk(
     arity: int, mask: int
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -326,7 +308,7 @@ def _component_walk(
 
 
 def _factor_over_components(
-    table: ConstraintTable, W: list[int], mask: int
+    table: ConstraintTable,
 ) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
     """Try to factor f over its support as constant x product of one unary
     weight per parity component; returns per-variable factors or None.
@@ -334,11 +316,12 @@ def _factor_over_components(
     Assumes the support is exactly {base xor any subset of component masks}.
     f factors iff f(idx(t)) * f(base) == f(idx(t - c)) * f(base ^ mask_c)
     at each subset t of components, c its lowest (`_component_walk`): one
-    multiply-compare of the integer form W per support point, walked in
-    increasing t so that t - c is checked first. Only a table that passes gets Fractions, and the
-    ratios of W are the ratios of f, so the factors rebuild f exactly.
+    multiply-compare of the table's ints W per support point, walked in
+    increasing t so that t - c is checked first. Only a table that passes
+    gets Fractions, and the ratios of W are the ratios of f, so the factors
+    rebuild f exactly.
     """
-    k = table.arity
+    k, W, mask = table.arity, table.nums, table.mask
     base, masks, walk = _component_walk(k, mask)
     b = W[base]
     for i, rest, single in walk:
@@ -350,7 +333,7 @@ def _factor_over_components(
         rep, _ = comp[0]
         factors[rep - 1] = (ONE, ratio) if _bit(base, rep, k) == 0 else (ratio, ONE)
     # fold the base constant into variable 1
-    const = table.weights[base]
+    const = table.value_at(base)
     u0, u1 = factors[0]
     factors[0] = (const * u0, const * u1)
     return tuple(factors)
@@ -362,7 +345,7 @@ def _factor_over_components(
 
 def is_nonzero(table: ConstraintTable) -> bool:
     """True iff every output value is strictly positive."""
-    return all(w.numerator for w in table.weights)
+    return all(table.nums)
 
 
 def _all_zero_factors(arity: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -380,8 +363,8 @@ def is_ed(table: ConstraintTable) -> Optional[EdCertificate]:
     """
     k = table.arity
     if k == 0:
-        return EdCertificate((), frozenset(), ()) if table.weights[0] == 1 else None
-    W, mask = _int_form(table)
+        return EdCertificate((), frozenset(), ()) if table.nums[0] == table.den else None
+    mask = table.mask
     if mask == 0:
         return EdCertificate((), frozenset(), _all_zero_factors(k))
     size = mask.bit_count()
@@ -390,7 +373,7 @@ def is_ed(table: ConstraintTable) -> Optional[EdCertificate]:
     comps = _parity_components(k, mask)
     if size != 1 << len(comps):
         return None
-    factors = _factor_over_components(table, W, mask)
+    factors = _factor_over_components(table)
     if factors is None:
         return None
     links = frozenset(
@@ -531,7 +514,7 @@ class _ImpLattice:
     points: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _imp_lattice(arity: int, mask: int) -> _ImpLattice:
     k = arity
     pins = _pins_of(k, mask)
@@ -572,9 +555,7 @@ def _imp_lattice(arity: int, mask: int) -> _ImpLattice:
     )
 
 
-def _imopt_exact(
-    table: ConstraintTable, W: list[int], mask: int
-) -> Optional[ImOptCertificate]:
+def _imopt_exact(table: ConstraintTable) -> Optional[ImOptCertificate]:
     """The exact IM_opt test on an implication-definable support (Rota 1964).
 
     On the support, log2 f is a function on the up-sets T of the class
@@ -593,13 +574,13 @@ def _imopt_exact(
     checked in increasing index, so each T - A is checked before T and the
     test exits at the first point that fails.
 
-    Every test runs on the integer form W: rho and delta stay (num, den)
+    Every test runs on the table's ints W: rho and delta stay (num, den)
     int pairs, even and odd are compared as ints, and the point test
     cross-multiplies. Each is a ratio of table weights, the same over W as
     over f, so the certificate built from them once the table has passed
     rebuilds f exactly.
     """
-    k = table.arity
+    k, W, mask = table.arity, table.nums, table.mask
     lat = _imp_lattice(k, mask)
     base = lat.base
     n = len(lat.classes)
@@ -645,7 +626,7 @@ def _imopt_exact(
         lambda_pairs.add((r, s, Fraction(odd, even)))
     for rep, ratio in hi.items():
         factors[rep - 1] = (ONE, ratio)
-    const = table.weights[base]
+    const = table.value_at(base)
     u0, u1 = factors[0]
     factors[0] = (const * u0, const * u1)
     return ImOptCertificate(tuple(factors), frozenset(lambda_pairs))
@@ -656,15 +637,14 @@ def is_imopt(table: ConstraintTable) -> Optional[ImOptCertificate]:
     on its values (see `_imopt_exact`); every support, full or partial, is
     decided in integer arithmetic on the table's common-denominator form.
     """
-    k = table.arity
+    k, mask = table.arity, table.mask
     if k == 0:
-        return ImOptCertificate((), frozenset()) if table.weights[0] == 1 else None
-    W, mask = _int_form(table)
+        return ImOptCertificate((), frozenset()) if table.nums[0] == table.den else None
     if mask == 0:
         return ImOptCertificate(_all_zero_factors(k), frozenset())
     if _imp_rebuild(k, mask) != mask:
         return None
-    return _imopt_exact(table, W, mask)
+    return _imopt_exact(table)
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +665,16 @@ def binary_witness_search(
     name = table.name or "f"
     start = ConstructionScript(name)
     frontier: list[tuple[ConstraintTable, ConstructionScript]] = [(table, start)]
-    seen_intermediate = {(table.arity, table.weights)}
-    found: dict[tuple[Fraction, ...], tuple[ConstructionScript, ConstraintTable]] = {}
+    seen_intermediate = {table}
+    found: dict[ConstraintTable, ConstructionScript] = {}
 
     def record(t: ConstraintTable, script: ConstructionScript):
-        lead = next((w for w in t.weights if w != 0), None)
-        if lead is not None and lead != 1:
-            script = script.extended(("scale", ONE / lead))
-            t = t.scale(ONE / lead)
-        if t.weights not in found:
-            found[t.weights] = (script, t)
+        lead = next((x for x in t.nums if x), t.den)
+        if lead != t.den:
+            inverse = Fraction(t.den, lead)
+            script = script.extended(("scale", inverse))
+            t = t.scale(inverse)
+        found.setdefault(t, script)
 
     while frontier:
         current, script = frontier.pop()
@@ -711,11 +691,10 @@ def binary_witness_search(
                 if i != j:
                     nexts.append((current.link(i, j), ("link", i, j)))
         for t, step in nexts:
-            key = (t.arity, t.weights)
-            if key not in seen_intermediate:
-                seen_intermediate.add(key)
+            if t not in seen_intermediate:
+                seen_intermediate.add(t)
                 frontier.append((t, script.extended(step)))
-    return [found[w] for w in sorted(found)]
+    return sorted(((script, t) for t, script in found.items()), key=lambda e: e[1].weights)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError
 from .tables import ConstraintTable
@@ -69,10 +70,8 @@ def integer_kernel(matrix: list[list[Fraction]]) -> list[list[int]]:
         y[fc] = ONE
         for r, pc in enumerate(pivots):
             y[pc] = -m[r][fc]
-        lcm = 1
-        for v in y:
-            lcm = lcm * v.denominator // __import__("math").gcd(lcm, v.denominator)
-        basis.append([int(v * lcm) for v in y])
+        common = lcm(*(v.denominator for v in y))
+        basis.append([int(v * common) for v in y])
     return basis
 
 
@@ -238,9 +237,9 @@ def _imp_masks(arity: int) -> frozenset[int]:
 def oracle_degenerate(table: ConstraintTable) -> bool:
     """Enumerate per-variable support boxes; solve the unary factors from the
     box corner and verify the product over the whole cube."""
-    k = table.arity
+    k, ws = table.arity, table.weights
     if k == 0:
-        return table.weights[0] == 1
+        return ws[0] == 1
     if table.is_zero():
         return True
     mask = table.support().mask
@@ -251,20 +250,20 @@ def oracle_degenerate(table: ConstraintTable) -> bool:
         if boxmask != mask:
             continue
         base = sum(min(box[t]) << (k - 1 - t) for t in range(k))
-        const = table.weights[base]
+        const = ws[base]
         factors = []
         for v in range(1, k + 1):
             pair = [Fraction(0), Fraction(0)]
             pair[min(box[v - 1])] = ONE
             if len(box[v - 1]) == 2:
-                pair[1] = table.weights[base ^ (1 << (k - v))] / const
+                pair[1] = ws[base ^ (1 << (k - v))] / const
             factors.append(pair)
         ok = True
         for idx in range(1 << k):
             value = const
             for v in range(1, k + 1):
                 value *= factors[v - 1][_bit(idx, v, k)]
-            if value != table.weights[idx]:
+            if value != ws[idx]:
                 ok = False
                 break
         if ok:
@@ -276,9 +275,9 @@ def oracle_ed(table: ConstraintTable) -> bool:
     """Support must match some enumerated pin/parity system; the on-support
     values must admit per-variable log weights, decided exactly through the
     left null space of the incidence system (no log evaluation needed)."""
-    k = table.arity
+    k, ws = table.arity, table.weights
     if k == 0:
-        return table.weights[0] == 1
+        return ws[0] == 1
     if table.is_zero():
         return True
     mask = table.support().mask
@@ -291,16 +290,16 @@ def oracle_ed(table: ConstraintTable) -> bool:
         for v in range(1, k + 1):
             row[2 * (v - 1) + _bit(p, v, k)] = ONE
         rows.append(row)
-    return product_identities_hold([table.weights[p] for p in pts], rows)
+    return product_identities_hold([ws[p] for p in pts], rows)
 
 
 def oracle_imopt(table: ConstraintTable) -> bool:
     """Support must match some enumerated pin/implication system; the
     on-support values must satisfy the sign-constrained log-affine system,
     decided by exact Fourier-Motzkin."""
-    k = table.arity
+    k, ws = table.arity, table.weights
     if k == 0:
-        return table.weights[0] == 1
+        return ws[0] == 1
     if table.is_zero():
         return True
     mask = table.support().mask
@@ -322,7 +321,7 @@ def oracle_imopt(table: ConstraintTable) -> bool:
             row[v] = Fraction(_bit(p, v, k))
         for t, (r, s) in enumerate(pairs):
             row[1 + k + t] = Fraction(_bit(p, r, k) * (1 - _bit(p, s, k)))
-        equalities.append((row, Fraction(dyadic_log2(table.weights[p]))))
+        equalities.append((row, Fraction(dyadic_log2(ws[p]))))
     nonpos = set(range(1 + k, nvar))
     return fm_feasible(equalities, nonpos, nvar)
 
@@ -334,12 +333,12 @@ def oracle_imopt(table: ConstraintTable) -> bool:
 def rectangle_condition_holds(table: ConstraintTable) -> bool:
     """f(a)f(b) = f(c)f(d) whenever a+b = c+d as integer vectors, over the
     whole cube. Equivalent to f being a product of unary factors."""
-    k = table.arity
+    k, ws = table.arity, table.weights
     buckets: dict[tuple[int, ...], Fraction] = {}
     for a in range(1 << k):
         for b in range(a, 1 << k):
             key = tuple(_bit(a, v, k) + _bit(b, v, k) for v in range(1, k + 1))
-            product = table.weights[a] * table.weights[b]
+            product = ws[a] * ws[b]
             if key in buckets:
                 if buckets[key] != product:
                     return False

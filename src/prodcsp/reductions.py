@@ -146,7 +146,7 @@ def imopt_to_flow(
     hard_pairs: set[tuple[int, int]] = set()
     for table, variables in inst.applications:
         if table.arity == 0:
-            constant *= table.weights[0]
+            constant *= table.value_at(0)
             continue
         cert = certs[named[id(table)]]
         for pos, (w0, w1) in enumerate(cert.unary_factors, start=1):
@@ -356,6 +356,7 @@ def gadget_table(gadget: Gadget) -> ConstraintTable:
     """Evaluate a gadget back into a dense table (cross-check against replay)."""
     k = gadget.arity
     m = len(gadget.aux_slots)
+    factors = [(table.weights, slots) for table, slots in gadget.factors]
     out = []
     for idx in range(1 << k):
         free_bits = {
@@ -367,8 +368,8 @@ def gadget_table(gadget: Gadget) -> ConstraintTable:
             for p, slot in enumerate(gadget.aux_slots):
                 bits[slot] = (amask >> (m - 1 - p)) & 1
             value = gadget.scale
-            for table, slots in gadget.factors:
-                value *= table.weights[
+            for weights, slots in factors:
+                value *= weights[
                     sum(bits[s] << (len(slots) - 1 - t) for t, s in enumerate(slots))
                 ]
                 if value == 0:
@@ -406,7 +407,7 @@ def rewrite_by_construction(
     if replayed != target:
         diff = next(
             i for i in range(1 << target.arity)
-            if replayed.weights[i] != target.weights[i]
+            if replayed.value_at(i) != target.value_at(i)
         ) if replayed.arity == target.arity else -1
         raise ReductionError(
             f"script replay does not reproduce the target constraint "

@@ -4,6 +4,13 @@ A constraint of arity k maps {0,1}^k to nonnegative rationals and is stored as
 its 2^k output values in lexicographic input order with x1 as the most
 significant bit: for k=2 the order is (f(00), f(01), f(10), f(11)).
 
+The values are stored as ints over one common denominator: a positive int
+`den` and a tuple `nums` of 2^k nonnegative ints, value i being nums[i] / den,
+in lowest terms (gcd(den, *nums) == 1, so the all-zero table has den == 1);
+equality and hashing are then tuple equality. The support `mask` is read once,
+at construction. The operations, deciders and solvers work on these ints;
+`weights`, `value_at` and `evaluate` build Fractions.
+
 Variable positions in every operation are 1-based (x1..xk), matching the text
 formats. All values are immutable; operations return fresh tables.
 """
@@ -12,28 +19,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, ArityError, IndexRangeError
+from .ratmath import parse_weight
 
 MAX_ARITY = 16
+
+# The most bits a table's ints may take, as den.bit_length() << arity. Coprime
+# denominators make den, and every int over it, grow with the table; arity 12
+# with 4 096 distinct prime denominators fits, arity 14 with 16 384 does not.
+MAX_TABLE_BITS = 1 << 30
 
 WeightLike = Fraction | int | str | float
 
 
-_ZERO = Fraction(0)
+def _rational(w: WeightLike) -> Fraction:
+    """A weight as a Fraction. A str goes through `parse_weight`, so that a
+    huge decimal exponent is refused before any conversion."""
+    try:
+        return parse_weight(w) if isinstance(w, str) else Fraction(w)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArgumentError(f"bad weight {w!r}: {exc}") from None
 
 
-def _as_weight(w: WeightLike) -> Fraction:
-    """The weight as a nonnegative Fraction; every zero is the one shared
-    `_ZERO`, so that sparse tables (pins, parity links, hard constraints)
-    hold no Fraction object per zero entry."""
-    value = w if type(w) is Fraction else Fraction(w)
-    n = value.numerator
-    if n < 0:
-        raise ArgumentError(f"weights must be nonnegative, got {value}")
-    return value if n else _ZERO
+def _check_size(arity: int, den: int):
+    if den.bit_length() << arity > MAX_TABLE_BITS:
+        raise ArgumentError(f"arity-{arity} table over a common denominator of "
+                            f"{den.bit_length()}+ bits exceeds {MAX_TABLE_BITS} bits")
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
@@ -88,72 +103,96 @@ class Support:
         return self.mask == (1 << (1 << self.arity)) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConstraintTable:
-    """Arity-k constraint as 2^k exact rational weights in lexicographic order."""
+    """Arity-k constraint as 2^k exact rational weights in lexicographic order,
+    stored as the ints `nums` over one positive int `den` (see the module
+    docstring). Equality and hashing compare (arity, den, nums); the name is
+    a label only."""
 
     arity: int
-    weights: tuple[Fraction, ...]
-    name: str | None = field(default=None, compare=False)
+    den: int
+    nums: tuple[int, ...]
+    name: str | None = field(compare=False)
+    mask: int = field(compare=False)  # the support: bit i is set iff nums[i] > 0
 
-    def __post_init__(self):
-        if not (0 <= self.arity <= MAX_ARITY):
-            raise ArityError(f"arity must be in 0..{MAX_ARITY}, got {self.arity}")
-        weights = tuple(_as_weight(w) for w in self.weights)
-        if len(weights) != 1 << self.arity:
-            raise ArityError(
-                f"arity {self.arity} needs {1 << self.arity} weights, got {len(weights)}"
-            )
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, arity: int, weights: Iterable[WeightLike], name: str | None = None):
+        if not (0 <= arity <= MAX_ARITY):
+            raise ArityError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
+        ws = [w if type(w) is Fraction else _rational(w) for w in weights]
+        if len(ws) != 1 << arity:
+            raise ArityError(f"arity {arity} needs {1 << arity} weights, got {len(ws)}")
+        den = 1
+        for d in {w.denominator for w in ws}:
+            if den % d:
+                den = lcm(den, d)
+                _check_size(arity, den)
+        nums = tuple(w.numerator * (den // w.denominator) for w in ws)
+        if min(nums) < 0:
+            raise ArgumentError(f"weights must be nonnegative, got {min(ws)}")
+        self._set(arity, den, nums, name)
+
+    @classmethod
+    def _of(cls, arity: int, den: int, nums: tuple[int, ...], name: str | None = None):
+        """The table with weights nums[i] / den, brought to lowest terms: the
+        one constructor of every table operation."""
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple(x // g for x in nums)
+        _check_size(arity, den)
+        return object.__new__(cls)._set(arity, den, nums, name)
+
+    def _set(self, arity, den, nums, name) -> "ConstraintTable":
+        mask = int("".join(["1" if x else "0" for x in reversed(nums)]), 2)  # linear time
+        # Frozen, so the fields go straight into the instance dict.
+        self.__dict__.update(arity=arity, den=den, nums=nums, name=name, mask=mask)
+        return self
 
     # -- lookups ------------------------------------------------------------
 
-    def evaluate(self, x: Sequence[int] | str) -> Fraction:
-        """Value at input x (a bit sequence or 0/1 string of length arity)."""
-        return self.weights[bits_to_index(_coerce_bits(x, self.arity))]
-
-    def __call__(self, x: Sequence[int] | str) -> Fraction:
-        return self.evaluate(x)
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as Fractions, built afresh on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def value_at(self, index: int) -> Fraction:
-        return self.weights[index]
+        return Fraction(self.nums[index], self.den)
 
-    @cached_property
-    def weight_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Each weight as its int (numerator, denominator), in table order;
-        read once per table, for loops that multiply many weights."""
-        return tuple((w.numerator, w.denominator) for w in self.weights)
+    def evaluate(self, x: Sequence[int] | str) -> Fraction:
+        """Value at input x (a bit sequence or 0/1 string of length arity)."""
+        return self.value_at(bits_to_index(_coerce_bits(x, self.arity)))
+
+    __call__ = evaluate
 
     def support(self) -> Support:
-        mask = 0
-        for i, w in enumerate(self.weights):
-            if w.numerator:
-                mask |= 1 << i
-        return Support(self.arity, mask)
+        return Support(self.arity, self.mask)
 
     def is_zero(self) -> bool:
-        return all(w == 0 for w in self.weights)
+        return self.mask == 0
 
     # -- constructibility operations -----------------------------------------
 
-    def _check_pos(self, i: int):
-        if not (1 <= i <= self.arity):
-            raise IndexRangeError(f"variable position {i} out of range 1..{self.arity}")
+    def _check_pos(self, *positions: int):
+        for i in positions:
+            if not (1 <= i <= self.arity):
+                raise IndexRangeError(f"variable position {i} out of range 1..{self.arity}")
+
+    def _gather(self, arity: int, sources: Iterable[int]) -> "ConstraintTable":
+        """The table whose weight i is this table's weight at sources[i]."""
+        nums = self.nums
+        return ConstraintTable._of(arity, self.den, tuple(nums[s] for s in sources))
 
     def permute(self, i: int, j: int) -> "ConstraintTable":
         """Exchange the roles of variables at positions i < j."""
-        self._check_pos(i)
-        self._check_pos(j)
+        self._check_pos(i, j)
         if i >= j:
             raise ArgumentError(f"permute requires i < j, got {i}, {j}")
         k = self.arity
         bi, bj = k - i, k - j  # bit offsets from the LSB
-        out = []
-        for idx in range(1 << k):
-            x, y = (idx >> bi) & 1, (idx >> bj) & 1
-            src = idx & ~(1 << bi) & ~(1 << bj) | (y << bi) | (x << bj)
-            out.append(self.weights[src])
-        return ConstraintTable(k, tuple(out))
+        return self._gather(k, (
+            idx & ~(1 << bi | 1 << bj) | (idx >> bj & 1) << bi | (idx >> bi & 1) << bj
+            for idx in range(1 << k)
+        ))
 
     def pin(self, i: int, c: int) -> "ConstraintTable":
         """Fix variable i to constant bit c; arity drops by one."""
@@ -162,42 +201,34 @@ class ConstraintTable:
         self._check_pos(i)
         if c not in (0, 1):
             raise ArgumentError(f"pin bit must be 0 or 1, got {c}")
-        k = self.arity
-        out = []
-        for idx in range(1 << (k - 1)):
-            bits = index_to_bits(idx, k - 1)
-            full = bits[: i - 1] + (c,) + bits[i - 1 :]
-            out.append(self.weights[bits_to_index(full)])
-        return ConstraintTable(k - 1, tuple(out))
+        b = self.arity - i  # x_i's bit offset from the LSB
+        low = (1 << b) - 1
+        return self._gather(self.arity - 1, (
+            (idx & ~low) << 1 | c << b | idx & low for idx in range(1 << (self.arity - 1))
+        ))
 
     def link(self, i: int, j: int) -> "ConstraintTable":
         """Identify variable i with variable j (i removed); arity drops by one."""
-        self._check_pos(i)
-        self._check_pos(j)
+        self._check_pos(i, j)
         if i == j:
             raise ArgumentError("link requires two distinct positions")
         k = self.arity
         jj = j if j < i else j - 1  # j's position after removing i
-        out = []
-        for idx in range(1 << (k - 1)):
-            bits = index_to_bits(idx, k - 1)
-            full = bits[: i - 1] + (bits[jj - 1],) + bits[i - 1 :]
-            out.append(self.weights[bits_to_index(full)])
-        return ConstraintTable(k - 1, tuple(out))
+        b, bj = k - i, k - 1 - jj  # bit offsets of x_i in the input, x_j in the output
+        low = (1 << b) - 1
+        return self._gather(k - 1, (
+            (idx & ~low) << 1 | (idx >> bj & 1) << b | idx & low for idx in range(1 << (k - 1))
+        ))
 
     def expand(self, position: int) -> "ConstraintTable":
         """Insert a fresh ignored variable after `position` originals (0 = in front)."""
         if not (0 <= position <= self.arity):
-            raise IndexRangeError(
-                f"insertion point {position} out of range 0..{self.arity}"
-            )
-        k = self.arity
-        out = []
-        for idx in range(1 << (k + 1)):
-            bits = index_to_bits(idx, k + 1)
-            src = bits[:position] + bits[position + 1 :]
-            out.append(self.weights[bits_to_index(src)])
-        return ConstraintTable(k + 1, tuple(out))
+            raise IndexRangeError(f"insertion point {position} out of range 0..{self.arity}")
+        b = self.arity - position  # the new variable's bit offset from the LSB
+        low = (1 << b) - 1
+        return self._gather(self.arity + 1, (
+            idx >> (b + 1) << b | idx & low for idx in range(1 << (self.arity + 1))
+        ))
 
     def multiply(self, other: "ConstraintTable") -> "ConstraintTable":
         """Pointwise product with a constraint over the same variable series."""
@@ -205,45 +236,40 @@ class ConstraintTable:
             raise ArityError(
                 f"multiply requires equal arities, got {self.arity} and {other.arity}"
             )
-        return ConstraintTable(
-            self.arity, tuple(a * b for a, b in zip(self.weights, other.weights))
+        return ConstraintTable._of(
+            self.arity, self.den * other.den, tuple(map(mul, self.nums, other.nums))
         )
 
     def maximize_out(self, d: int) -> "ConstraintTable":
         """Maximize over the last d variables; arity drops by d."""
         if not (0 <= d <= self.arity):
             raise ArityError(f"cannot maximize {d} of {self.arity} variables")
-        k = self.arity
-        block = 1 << d
-        out = []
-        for idx in range(1 << (k - d)):
-            base = idx << d
-            out.append(max(self.weights[base : base + block]))
-        return ConstraintTable(k - d, tuple(out))
+        nums, block = self.nums, 1 << d
+        return ConstraintTable._of(self.arity - d, self.den, tuple(
+            max(nums[base : base + block]) for base in range(0, len(nums), block)
+        ))
 
     def scale(self, lam: WeightLike) -> "ConstraintTable":
         """Multiply all weights by a positive rational."""
-        factor = Fraction(lam)
+        factor = _rational(lam)
         if factor <= 0:
             raise ArgumentError(f"scale factor must be positive, got {factor}")
-        return ConstraintTable(self.arity, tuple(factor * w for w in self.weights))
+        p = factor.numerator
+        return ConstraintTable._of(self.arity, self.den * factor.denominator,
+                                   tuple(p * x for x in self.nums))
 
     def complement_variable(self, i: int) -> "ConstraintTable":
         """Flip the polarity of variable i: g(..xi..) = f(..1-xi..)."""
         self._check_pos(i)
-        bi = self.arity - i
-        out = [self.weights[idx ^ (1 << bi)] for idx in range(1 << self.arity)]
-        return ConstraintTable(self.arity, tuple(out))
+        flip = 1 << (self.arity - i)
+        return self._gather(self.arity, (idx ^ flip for idx in range(1 << self.arity)))
 
     def complement_all(self) -> "ConstraintTable":
         """Flip every variable's polarity (reverses the table)."""
-        g = self
-        for i in range(1, self.arity + 1):
-            g = g.complement_variable(i)
-        return g
+        return ConstraintTable._of(self.arity, self.den, self.nums[::-1])
 
     def with_name(self, name: str | None) -> "ConstraintTable":
-        return ConstraintTable(self.arity, self.weights, name)
+        return ConstraintTable._of(self.arity, self.den, self.nums, name)
 
     def __repr__(self):
         label = f" {self.name}" if self.name else ""
@@ -254,10 +280,9 @@ class ConstraintTable:
 def make_table(weights: Iterable[WeightLike], name: str | None = None) -> ConstraintTable:
     """Build a table from 2^k weights, inferring the arity."""
     ws = tuple(weights)  # ConstraintTable converts and checks each weight
-    n = len(ws)
-    arity = n.bit_length() - 1
-    if n != 1 << arity:
-        raise ArityError(f"weight count {n} is not a power of two")
+    arity = len(ws).bit_length() - 1
+    if len(ws) != 1 << arity:
+        raise ArityError(f"weight count {len(ws)} is not a power of two")
     return ConstraintTable(arity, ws, name)
 
 
@@ -275,6 +300,4 @@ IMPLIES = make_table([1, 1, 0, 1], "IMPLIES")
 D0 = make_table([1, 0], "D0")
 D1 = make_table([0, 1], "D1")
 
-BUILTINS: dict[str, ConstraintTable] = {
-    t.name: t for t in (EQ, XOR, OR, NAND, IMPLIES, D0, D1)
-}
+BUILTINS: dict[str, ConstraintTable] = {t.name: t for t in (EQ, XOR, OR, NAND, IMPLIES, D0, D1)}

@@ -150,7 +150,7 @@ def solve_tractable(
     for table_id, count in uses.items():
         name = names[table_id]
         if blocks[name].arity == 0:
-            constant *= blocks[name].weights[0] ** count
+            constant *= blocks[name].value_at(0) ** count
         denominator *= by_name[name][2] ** count
     if constant == 0:
         return _zero_result(n)

